@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from expobasis import (
     associated_matrix,
     construct_interval_removal,
+    delta_window_interval_removal,
     jsonio,
     singular_values,
-    solve_beta,
 )
 
 
@@ -33,10 +33,7 @@ class Config:
 def sweep(cfg: Config) -> list[dict]:
     rows = []
     for n in range(cfg.n_min, cfg.n_max + 1):
-        big_m = n - 1
-        beta = solve_beta(big_m).beta
-        lo = 1.0 / (2 * big_m * big_m)
-        hi = 1.0 / big_m - beta
+        lo, hi, _ = delta_window_interval_removal(n)
         m = cfg.m if cfg.m is not None else n // 2
         for i in range(cfg.steps):
             # stay strictly inside the open window

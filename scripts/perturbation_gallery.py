@@ -1,9 +1,11 @@
 """Gallery of random perturbed-union bases.
 
 Draws random (s, a, eps) with small rational perturbations, picks a shift
-delta inside the admissible window, and prints certificate vs oracle for the
-grid-dilated matrix.  A quick way to see how the certified constants behave
-as the perturbations' common denominator N grows.
+delta inside the admissible window, and prints certificate vs oracle.  The
+oracle is the node matrix of the certified system on its own domain: the
+N-fold dilated grid nodes against the branches (r + j/s + j*delta)/N.  A quick
+way to see how the certified constants behave as the perturbations' common
+denominator N grows; it exits 2 when any certified bound misses the oracle.
 
     python3 scripts/perturbation_gallery.py --instances 12 --seed 7
 """

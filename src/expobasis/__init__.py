@@ -26,6 +26,7 @@ from .constructions import (
     complement_certificate,
     construct_interval_removal,
     construct_perturbed_union,
+    delta_window_interval_removal,
     delta_window_perturbed_union,
     residue_orthogonal_basis,
     separation_margin,

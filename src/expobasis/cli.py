@@ -79,8 +79,12 @@ def _resolve_seed(args) -> int:
 def _load_input(value: str) -> dict:
     if value.lstrip().startswith("{"):
         return jsonio.loads(value)
-    with open(value, encoding="utf-8") as fh:
-        return jsonio.loads(fh.read())
+    try:
+        with open(value, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise PreconditionError(f"cannot read input {value!r}: {exc.strerror}") from exc
+    return jsonio.loads(text)
 
 
 def _require(args, names: list[str], method: str):

@@ -1,10 +1,10 @@
 """Certified exponential-basis constructions on modified interval unions.
 
 Each constructor validates its admissibility window exactly (rational
-arithmetic wherever the data is rational), emits a ``FrameCertificate`` with
-closed-form lower/upper Riesz constants, and records enough parameters to
-rebuild the associated node matrix so certificates can be re-verified against
-the singular-value oracle later.
+arithmetic wherever the data is rational) and emits a ``FrameCertificate``
+with closed-form lower/upper Riesz constants.  The certificate names its
+exponent system and its domain, and ``associated_matrix`` reduces that pair
+to the node matrix the singular-value oracle checks.
 
 The certified bounds all follow one mechanism: pairwise column coherence is a
 sine ratio of the node difference, large-coherence pairs form clusters of at
@@ -16,11 +16,11 @@ spectra around the true singular values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .clusters import ClusterPartition, default_threshold, partition_by_coherence
+from .clusters import ClusterPartition, partition_by_coherence
 from .domains import (
     ExponentSystem,
     RationalIntervalUnion,
@@ -28,7 +28,6 @@ from .domains import (
     fraction_from_json,
     fraction_to_json,
     lcd,
-    normalize_to_integer_grid,
     residues_distinct,
 )
 from .errors import (
@@ -45,7 +44,7 @@ from .errors import (
     VerificationError,
 )
 from .spectral import is_singular
-from .vandermonde import NodeMatrix, build_gamma, progression_matrix, sin_ratio
+from .vandermonde import NodeMatrix, build_gamma, sin_ratio
 
 __all__ = [
     "BetaSolution",
@@ -57,6 +56,7 @@ __all__ = [
     "shifted_sine_ratio_increasing",
     "delta_window_perturbed_union",
     "construct_perturbed_union",
+    "delta_window_interval_removal",
     "threshold_u",
     "separation_margin",
     "certify_lattice_subset",
@@ -165,8 +165,8 @@ class FrameCertificate:
     """Certified Riesz bounds A <= ||sum a_j v_j||^2 / sum |a_j|^2 <= B.
 
     ``params`` keeps the construction inputs (exact rationals where the input
-    was rational) so the associated node matrix can be rebuilt; ``flags``
-    records conventions and vacuity warnings.
+    was rational) for the record; verification reads only ``system`` and
+    ``domain_intervals``.  ``flags`` records conventions and vacuity warnings.
     """
 
     method: str
@@ -260,10 +260,10 @@ def delta_window_perturbed_union(s: int, a: Sequence[int], eps: Sequence):
 def construct_perturbed_union(s: int, a: Sequence[int], eps: Sequence, delta) -> FrameCertificate:
     """Certified basis on U_j [a_j + eps_j, a_j + eps_j + 1).
 
-    The system has branch offsets ``j/s + j*delta``; the certificate's matrix
-    check runs on the grid-dilated system (nodes of the N-fold dilation,
-    per-step phase 1/(sN) + delta), whose oracle constants must fall in
-    [N*A, N*B].
+    The system has branch offsets ``j/s + j*delta``.  Its node matrix lives
+    on the N-fold dilated grid, with the s*N branches (r + j/s + j*delta)/N
+    for 0 <= r < N, and its squared singular values must fall in [N*A, N*B]
+    (see ``associated_matrix``).
     """
     a, eps = _validated_perturbation(s, a, eps)
     lo, hi, n, m, beta = delta_window_perturbed_union(s, a, eps)
@@ -431,20 +431,24 @@ def certify_lattice_subset_paired(
 
 # --- one interval removed -------------------------------------------------
 
+def delta_window_interval_removal(n: int):
+    """Open window (1/(2M^2), 1/M - beta) for the delta of [0, N) minus one interval, M = N-1."""
+    if not isinstance(n, int) or n <= 2:
+        raise PreconditionError(f"need integer N > 2, got {n}")
+    beta = solve_beta(n - 1)
+    return 1.0 / (2 * (n - 1) ** 2), 1.0 / (n - 1) - beta.beta, beta
+
+
 def construct_interval_removal(n: int, m: int, delta) -> FrameCertificate:
     """Certified basis on [0, N) with the interval (m, m+1) removed.
 
     Offsets are j/(N-1) - j*delta for a delta in the strict window
     (1/(2(N-1)^2), 1/(N-1) - beta); the constants do not depend on m.
     """
-    if not isinstance(n, int) or n <= 2:
-        raise PreconditionError(f"need integer N > 2, got {n}")
+    lo, hi, beta = delta_window_interval_removal(n)
     if not isinstance(m, int) or not 1 <= m < n - 1:
         raise PreconditionError(f"need integer 1 <= m < N-1 = {n - 1}, got {m}")
     big_m = n - 1
-    beta = solve_beta(big_m)
-    lo = 1.0 / (2 * big_m * big_m)
-    hi = 1.0 / big_m - beta.beta
     df = float(delta)
     if not lo < df < hi:
         raise DeltaWindowError(f"delta = {df} outside the open window ({lo}, {hi}) for N = {n}")
@@ -575,44 +579,22 @@ def complement_certificate(delta_total, cert: FrameCertificate) -> FrameCertific
 # --- matrices for verification -------------------------------------------
 
 def associated_matrix(cert: FrameCertificate) -> tuple[NodeMatrix, float] | None:
-    """Rebuild the node matrix whose sigma^2 the certificate must bracket.
+    """The node matrix of the certificate's own system on its own domain.
 
-    Returns (matrix, scale) with the soundness contract
-    ``scale*A <= sigma^2 <= scale*B``, or None when no exact matrix oracle
-    applies (complements off the unit grid).
+    With c the domain scale and D the common denominator of the endpoints
+    over c, the nodes are the integers in D/c times the domain and the
+    branches are (r + phi_j)/D for 0 <= r < D.  Returns (matrix, D/c), whose
+    soundness contract is ``scale*A <= sigma^2 <= scale*B``, or None when the
+    matrix would not be square.
     """
-    p = cert.params
-    if cert.method == "perturbed_union":
-        s, n = p["s"], p["N"]
-        delta = p["delta"]
-        domain = RationalIntervalUnion([lo for lo, _ in cert.domain_intervals])
-        grid = normalize_to_integer_grid(domain)
-        assert grid.scale == n
-        spacing = (Fraction(1, s * n) + delta) if isinstance(delta, Fraction) else 1.0 / (s * n) + float(delta)
-        return progression_matrix(grid.nodes, spacing), float(n)
-    if cert.method in ("lattice_subset", "lattice_subset_paired"):
-        return progression_matrix(p["a"], Fraction(1, p["N"]), p["M"]), 1.0
-    if cert.method == "interval_removal":
-        n, m = p["N"], p["m"]
-        delta = p["delta"]
-        big_m = n - 1
-        spacing = (Fraction(1, big_m) - delta) if isinstance(delta, Fraction) else 1.0 / big_m - float(delta)
-        nodes = [k for k in range(n) if k != m]
-        return progression_matrix(nodes, spacing), 1.0
-    if cert.method == "residue_orthogonal":
-        return progression_matrix(p["a"], Fraction(1, p["s"]), p["s"]), 1.0
-    if cert.method == "complement":
-        if cert.system.domain_scale != 1:
-            return None
-        nodes: list[int] = []
-        for lo, hi in cert.domain_intervals:
-            if lo.denominator != 1 or hi.denominator != 1:
-                return None
-            nodes.extend(range(int(lo), int(hi)))
-        if len(nodes) != cert.system.branches:
-            return None
-        return build_gamma(list(cert.system.branch_offsets), nodes), 1.0
-    return None
+    c = cert.system.domain_scale
+    pieces = [(lo / c, hi / c) for lo, hi in cert.domain_intervals]
+    if sum(hi - lo for lo, hi in pieces) != cert.system.branches:
+        return None
+    d = lcd([x for piece in pieces for x in piece])
+    nodes = [p for lo, hi in pieces for p in range(int(lo * d), int(hi * d))]
+    branches = [(r + phi) / d for phi in cert.system.branch_offsets for r in range(d)]
+    return build_gamma(branches, nodes), float(d / c)
 
 
 # --- JSON -----------------------------------------------------------------
@@ -651,19 +633,33 @@ def certificate_to_json(cert: FrameCertificate) -> dict:
     }
 
 
+def _read(doc: dict, key: str, parse):
+    """parse(doc[key]); a missing or ill-typed value raises a PreconditionError naming the key."""
+    try:
+        return parse(doc[key])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise PreconditionError(f"certificate key {key!r} is missing or ill-typed: {exc!r}") from exc
+
+
+def _real(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)
+
+
 def certificate_from_json(doc: dict) -> FrameCertificate:
+    if not isinstance(doc, dict):
+        raise PreconditionError(f"a certificate must be a JSON object, got {type(doc).__name__}")
     if doc.get("schema") != "v1":
         raise PreconditionError(f"unsupported schema {doc.get('schema')!r}")
-    intervals = tuple(
-        (fraction_from_json(iv["start"]), fraction_from_json(iv["end"]))
-        for iv in doc["domain"]["intervals"]
-    )
     return FrameCertificate(
-        method=doc["method"],
-        A=float(doc["A"]),
-        B=float(doc["B"]),
-        system=ExponentSystem.from_json(doc["system"]),
-        domain_intervals=intervals,
-        params={k: _decode_param(v) for k, v in doc["params"].items()},
-        flags=tuple(doc.get("flags", ())),
+        domain_intervals=_read(doc, "domain", lambda d: tuple(
+            (fraction_from_json(iv["start"]), fraction_from_json(iv["end"]))
+            for iv in d["intervals"])),
+        method=_read(doc, "method", lambda m: m),
+        A=_read(doc, "A", _real),
+        B=_read(doc, "B", _real),
+        system=_read(doc, "system", ExponentSystem.from_json),
+        params=_read(doc, "params", lambda p: {k: _decode_param(v) for k, v in p.items()}),
+        flags=_read(doc, "flags", tuple) if "flags" in doc else (),
     )

@@ -313,12 +313,16 @@ def verify_certificate(
 ) -> VerificationReport:
     """Check a certificate against both routes and collect any violations.
 
-    Route 1 (when a node matrix applies): every oracle sigma^2 must lie in
-    [scale*A - tol', scale*B + tol']; a certificate with A > 0 must not be
-    numerically singular.  Route 2: sampled Gram ratios of the (unscaled)
-    system over the certified domain must lie in [A - tol', B + tol'].
+    Each side carries its own relative tolerance: the lower bound is
+    ``A - tol*|A|`` and the upper bound ``B + tol*|B|``.  Route 1 (when the
+    certificate's system on its domain has a square node matrix): every
+    oracle sigma^2 must lie between ``scale`` times those bounds, and a
+    certificate with A > 0 must not be numerically singular.  Route 2:
+    sampled Gram ratios of the (unscaled) system over the certified domain
+    must lie between the bounds themselves.
     """
     violations: list[dict] = []
+    lower, upper = cert.A - tol * abs(cert.A), cert.B + tol * abs(cert.B)
     pair = associated_matrix(cert)
     oracle = None
     scale = 1.0
@@ -326,10 +330,10 @@ def verify_certificate(
         matrix, scale = pair
         oracle = singular_values(matrix)
         squares = [v * v for v in oracle.values]
-        tol_abs = tol * scale * max(1.0, abs(cert.B))
-        missed = cert.contains(squares, scale=scale, tol=tol_abs)
-        if missed is not None:
-            j, side = missed
+        j = next((j for j, s2 in enumerate(squares)
+                  if not scale * lower <= s2 <= scale * upper), None)
+        if j is not None:
+            side = "lower" if squares[j] < scale * lower else "upper"
             bound = cert.A * scale if side == "lower" else cert.B * scale
             violations.append({
                 "route": "oracle", "index": j, "side": side,
@@ -343,11 +347,10 @@ def verify_certificate(
             })
     sample = riesz_ratio_sample(cert.system, cert.domain_intervals,
                                 n_max=n_max, trials=trials, seed=seed)
-    tol_s = tol * max(1.0, abs(cert.B))
-    if sample.min_ratio < cert.A - tol_s:
+    if sample.min_ratio < lower:
         violations.append({"route": "sample", "index": -1, "side": "lower",
                            "value": sample.min_ratio, "bound": cert.A})
-    if sample.max_ratio > cert.B + tol_s:
+    if sample.max_ratio > upper:
         violations.append({"route": "sample", "index": -1, "side": "upper",
                            "value": sample.max_ratio, "bound": cert.B})
     return VerificationReport(certificate=cert, oracle=oracle, oracle_scale=scale,

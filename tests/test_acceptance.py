@@ -17,6 +17,7 @@ from conftest import record_acceptance
 from expobasis import (
     GramForm,
     RankDeficientError,
+    RationalIntervalUnion,
     adaptive_simpson,
     associated_matrix,
     certify_lattice_subset,
@@ -25,6 +26,7 @@ from expobasis import (
     construct_perturbed_union,
     delta_window_perturbed_union,
     gram_entry,
+    normalize_to_integer_grid,
     optimal_frame_constants,
     partition_by_coherence,
     principal_angle_check,
@@ -236,7 +238,8 @@ def test_criterion_7_lattice_subset_enumeration():
 
 def _sandwich_instance_stream(rng):
     """Alternate interval-removal and perturbed-union draws, yielding
-    (nodes, spacing) for the associated progression matrices."""
+    (nodes, spacing) for progression matrices: the removal's offsets, and the
+    perturbed union's N-dilated grid nodes with per-step phase 1/(sN) + delta."""
     cells = [(2, 1), (2, 3), (3, 1)]
     toggle = 0
     while True:
@@ -251,9 +254,9 @@ def _sandwich_instance_stream(rng):
         else:
             s, n = cells[(toggle // 2) % 3]
             a, eps, delta = _draw_perturbed_instance(rng, s, n)
-            cert = construct_perturbed_union(s, a, eps, delta)
-            matrix, _ = associated_matrix(cert)
-            yield list(matrix.nodes), float(matrix.effective_spacing)
+            union = RationalIntervalUnion([a_j + e_j for a_j, e_j in zip(a, eps)])
+            yield (list(normalize_to_integer_grid(union).nodes),
+                   float(Fraction(1, s * n) + delta))
 
 
 def test_criterion_8_cluster_sandwich_on_random_instances():

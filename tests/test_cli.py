@@ -134,6 +134,46 @@ def test_malformed_json_is_exit_three(run):
     assert "line 1" in err
 
 
+def _drop(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _set(key, value):
+    return lambda doc: {**doc, key: value}
+
+
+def _set_interval(value):
+    return lambda doc: {**doc, "domain": {"intervals": [value]}}
+
+
+@pytest.mark.parametrize("mutate, key", [
+    (lambda doc: {"schema": "v1"}, "domain"),
+    (_drop("domain"), "domain"),
+    (_drop("system"), "system"),
+    (_drop("params"), "params"),
+    (_drop("A"), "A"),
+    (_set("B", "2.0"), "B"),
+    (_set("params", [1, 2]), "params"),
+    (_set("system", {"branch_offsets": ["x"]}), "system"),
+    (_set_interval({"start": {"num": 0, "den": 1}}), "domain"),
+], ids=["schema_only", "no_domain", "no_system", "no_params", "no_A", "string_B",
+        "list_params", "string_offset", "interval_without_end"])
+def test_truncated_certificate_is_a_named_error(run, mutate, key):
+    _, cert_text, _ = run(["certify", "residue-orthogonal", "--s", "2", "--a", "0,3"])
+    doc = mutate(json.loads(cert_text))
+    code, out, err = run(["verify", "--input", json.dumps(doc)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error [PreconditionError]")
+    assert repr(key) in err
+
+
+def test_unreadable_input_is_a_named_error(run, tmp_path):
+    code, _, err = run(["verify", "--input", str(tmp_path / "missing.json")])
+    assert code == 1
+    assert err.startswith("error [PreconditionError]")
+
+
 def test_precondition_failures_are_exit_one(run):
     code, _, err = run(["certify", "lattice-subset", "--N", "12", "--M", "3",
                         "--u", "1", "--a", "0,1,6"])

@@ -15,17 +15,22 @@ from expobasis import (
     FrameCertificate,
     LatticeError,
     PreconditionError,
+    RationalIntervalUnion,
     ResidueClashError,
     SeparationError,
     ThresholdError,
     associated_matrix,
+    build_gamma,
     certify_lattice_subset,
     certify_lattice_subset_paired,
     complement_certificate,
     construct_interval_removal,
     construct_perturbed_union,
+    delta_window_interval_removal,
     delta_window_perturbed_union,
+    normalize_to_integer_grid,
     optimal_frame_constants,
+    progression_matrix,
     residue_orthogonal_basis,
     separation_margin,
     shifted_sine_ratio_increasing,
@@ -36,6 +41,7 @@ from expobasis import (
     subset_basis,
     threshold_u,
     unit_gap_coherence_bounded,
+    verify_certificate,
 )
 from expobasis import certificate_from_json, certificate_to_json
 
@@ -168,9 +174,26 @@ def test_perturbed_union_dilated_grid():
     matrix, scale = associated_matrix(cert)
     assert scale == 3.0
     assert matrix.size == 6
-    assert matrix.effective_spacing == pytest.approx(1 / 6 + 0.0006, abs=1e-15)
+    # the 3-fold dilation of [0, 1) u [10/3, 13/3), with branches (r + phi_j)/3
+    assert matrix.nodes == (0, 1, 2, 10, 11, 12)
+    phis = (0.0, 0.5 + 0.0006)
+    assert matrix.deltas == pytest.approx([(r + phi) / 3 for phi in phis for r in range(3)],
+                                          abs=1e-15)
     assert oracle_contained(cert)
     assert cert.domain_intervals[1][0] == Fraction(10, 3)
+
+
+def test_perturbed_union_matrix_is_its_own_system_on_its_own_domain():
+    # lcd 4: the node matrix of the certified system, not a progression on the grid
+    cert = construct_perturbed_union(2, [0, 1], [Fraction(0), Fraction(1, 4)],
+                                     0.0005416971729666823)
+    matrix, scale = associated_matrix(cert)
+    assert scale == 4.0
+    assert matrix.nodes == (0, 1, 2, 3, 5, 6, 7, 8)
+    lo, hi = optimal_frame_constants(matrix)
+    assert lo / scale == pytest.approx(1.158437094313158e-05, rel=1e-9)
+    assert hi / scale == pytest.approx(3.999988415629059, rel=1e-12)
+    assert oracle_contained(cert)
 
 
 def test_perturbed_union_window_is_inclusive():
@@ -304,6 +327,16 @@ def test_interval_removal_constants_ignore_m_and_delta():
     assert oracle_contained(frac)
 
 
+def test_interval_removal_window_formula():
+    lo, hi, beta = delta_window_interval_removal(4)
+    assert lo == 1 / 18
+    assert beta == solve_beta(3)
+    assert hi == 1 / 3 - beta.beta
+    assert construct_interval_removal(4, 1, 0.08).params["window"] == [lo, hi]
+    with pytest.raises(PreconditionError):
+        delta_window_interval_removal(2)
+
+
 def test_interval_removal_window_is_strict():
     lo = Fraction(1, 18)
     hi = 1 / 3 - solve_beta(3).beta
@@ -403,7 +436,7 @@ def test_complement_is_an_involution():
     assert back.domain_intervals == parent.domain_intervals
 
 
-def test_complement_off_unit_scale_has_no_matrix_oracle():
+def test_complement_off_unit_scale_has_scaled_matrix_oracle():
     parent = FrameCertificate(
         method="oracle", A=1.0, B=1.0,
         system=ExponentSystem((Fraction(0),), domain_scale=Fraction(3)),
@@ -411,7 +444,16 @@ def test_complement_off_unit_scale_has_no_matrix_oracle():
     comp = complement_certificate(9, parent)
     assert comp.system.branch_offsets == (Fraction(1, 3), Fraction(2, 3))
     assert comp.domain_intervals == ((Fraction(3), Fraction(9)),)
-    assert associated_matrix(comp) is None
+    # (Z + 1/3)/3 u (Z + 2/3)/3 on [3, 9) is Z + {1/3, 2/3} on [1, 3), times 3
+    matrix, scale = associated_matrix(comp)
+    assert scale == 1 / 3
+    assert matrix.nodes == (1, 2)
+    lo, hi = optimal_frame_constants(matrix)
+    assert (lo / scale, hi / scale) == pytest.approx((3.0, 9.0), abs=1e-9)
+    assert (comp.A, comp.B) == (8.0, 8.0)
+    report = verify_certificate(comp, trials=8)
+    assert not report.ok
+    assert any(v["route"] == "oracle" for v in report.violations)
 
 
 def test_complement_preconditions():
@@ -433,6 +475,40 @@ def test_complement_preconditions():
         domain_intervals=((Fraction(0), Fraction(1)), (Fraction(3), Fraction(4))))
     with pytest.raises(PreconditionError):
         complement_certificate(3, escape)
+
+
+# --- node matrices on the unit grid ----------------------------------------------------------
+
+def _perturbed_union_progression(s, a, delta):
+    nodes = normalize_to_integer_grid(RationalIntervalUnion(a)).nodes
+    return progression_matrix(nodes, Fraction(1, s) + delta)
+
+
+@pytest.mark.parametrize("build, expected", [
+    (lambda: construct_interval_removal(6, 2, 0.03),
+     lambda: progression_matrix([0, 1, 3, 4, 5], 1 / 5 - 0.03)),
+    (lambda: construct_interval_removal(5, 1, Fraction(1, 25)),
+     lambda: progression_matrix([0, 2, 3, 4], Fraction(1, 4) - Fraction(1, 25))),
+    (lambda: certify_lattice_subset(10, 3, [0, 3, 7], 1),
+     lambda: progression_matrix([0, 3, 7], Fraction(1, 10), 3)),
+    (lambda: certify_lattice_subset_paired(16, 4, [0, 1, 8, 9], 1),
+     lambda: progression_matrix([0, 1, 8, 9], Fraction(1, 16), 4)),
+    (lambda: residue_orthogonal_basis(3, [0, 4, 8]),
+     lambda: progression_matrix([0, 4, 8], Fraction(1, 3), 3)),
+    (lambda: construct_perturbed_union(2, [0, 3], [Fraction(0), Fraction(0)], 0.05),
+     lambda: _perturbed_union_progression(2, [0, 3], 0.05)),
+    (lambda: construct_perturbed_union(3, [0, 4, 8], [Fraction(0)] * 3, Fraction(-1, 120)),
+     lambda: _perturbed_union_progression(3, [0, 4, 8], Fraction(-1, 120))),
+    (lambda: complement_certificate(6, residue_orthogonal_basis(2, [0, 3])),
+     lambda: build_gamma([Fraction(k, 6) for k in (1, 2, 4, 5)], [1, 2, 4, 5])),
+], ids=["interval_removal", "interval_removal_exact", "lattice_subset", "lattice_subset_paired",
+        "residue_orthogonal", "perturbed_union", "perturbed_union_exact", "complement"])
+def test_unit_grid_matrix_matches_the_construction_formula(build, expected):
+    matrix, scale = associated_matrix(build())
+    want = expected()
+    assert scale == 1.0
+    assert matrix.nodes == want.nodes
+    assert float(abs(matrix.entries - want.entries).max()) <= 1e-12
 
 
 # --- certificate container ------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from expobasis import (
     bessel_restriction_sample,
     complement_certificate,
     construct_interval_removal,
+    construct_perturbed_union,
     gram_entry,
     gram_matrix,
     intervals_contained,
@@ -227,6 +228,18 @@ def test_verify_accepts_certified_constructions():
     for cert in (construct_interval_removal(4, 1, 0.08),):
         report = verify_certificate(cert, trials=40)
         assert report.ok, report.violations
+
+
+def test_verify_rejects_a_lower_bound_above_the_optimum():
+    # certified A = 2.02e-8 while the system's optimal lower constant is 7.19e-9;
+    # the miss is far below max(1, B), so only a per-side tolerance sees it
+    cert = construct_perturbed_union(2, [0, 1], [Fraction(0), Fraction(3, 10)],
+                                     -1.349625582624321e-05)
+    report = verify_certificate(cert, trials=8)
+    assert not report.ok
+    assert ("oracle", "lower") in {(v["route"], v["side"]) for v in report.violations}
+    assert report.oracle_scale == 10.0
+    assert report.oracle.sigma_min ** 2 / 10.0 == pytest.approx(7.19e-9, rel=1e-3)
 
 
 def test_regression_examples_all_reproduce():
