@@ -43,14 +43,11 @@ class NodeMatrix:
     """Square matrix Gamma with its generating data.
 
     Columns follow ascending node order; rows follow the given offset order.
-    ``effective_spacing`` is the per-step phase when the offsets form the
-    arithmetic progression ``delta_j = j * spacing`` (None otherwise).
     """
 
     entries: np.ndarray
     nodes: tuple[int, ...]
     deltas: tuple[float, ...]
-    effective_spacing: float | None = None
 
     @property
     def size(self) -> int:
@@ -96,22 +93,7 @@ def build_gamma(deltas: Sequence, nodes: Sequence[int]) -> NodeMatrix:
         entries=entries,
         nodes=tuple(ordered),
         deltas=tuple(float(d) for d in deltas),
-        effective_spacing=_detect_spacing(deltas),
     )
-
-
-def _detect_spacing(deltas: Sequence) -> float | None:
-    if len(deltas) < 2 or float(deltas[0]) != 0.0:
-        return None
-    step = deltas[1]
-    exact = all(isinstance(d, (int, Fraction)) for d in deltas)
-    for j, d in enumerate(deltas):
-        if exact:
-            if Fraction(d) != j * Fraction(step):
-                return None
-        elif abs(float(d) - j * float(step)) > 1e-12 * max(1.0, abs(j * float(step))):
-            return None
-    return float(step)
 
 
 def progression_matrix(nodes: Sequence[int], spacing, size: int | None = None) -> NodeMatrix:
@@ -121,8 +103,7 @@ def progression_matrix(nodes: Sequence[int], spacing, size: int | None = None) -
         raise PreconditionError("progression matrix must be square: size == len(nodes)")
     deltas = [j * spacing if isinstance(spacing, (int, Fraction)) else j * float(spacing)
               for j in range(L)]
-    m = build_gamma(deltas, nodes)
-    return NodeMatrix(m.entries, m.nodes, m.deltas, effective_spacing=float(spacing))
+    return build_gamma(deltas, nodes)
 
 
 def wrap_distance(t: float, s: float = 0.0) -> float:

