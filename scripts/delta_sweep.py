@@ -10,7 +10,6 @@ bounds are as the window edge is approached.
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from expobasis import (
     associated_matrix,
@@ -21,23 +20,14 @@ from expobasis import (
 )
 
 
-@dataclass
-class Config:
-    n_min: int = 4
-    n_max: int = 10
-    steps: int = 9
-    m: int | None = None  # removed interval; defaults to the middle one
-    output: str | None = None
-
-
-def sweep(cfg: Config) -> list[dict]:
+def sweep(args) -> list[dict]:
     rows = []
-    for n in range(cfg.n_min, cfg.n_max + 1):
+    for n in range(args.n_min, args.n_max + 1):
         lo, hi, _ = delta_window_interval_removal(n)
-        m = cfg.m if cfg.m is not None else n // 2
-        for i in range(cfg.steps):
+        m = args.m if args.m is not None else n // 2
+        for i in range(args.steps):
             # stay strictly inside the open window
-            delta = lo + (hi - lo) * (i + 1) / (cfg.steps + 1)
+            delta = lo + (hi - lo) * (i + 1) / (args.steps + 1)
             cert = construct_interval_removal(n, m, delta)
             matrix, scale = associated_matrix(cert)
             spec = singular_values(matrix)
@@ -62,16 +52,15 @@ def main(argv=None) -> int:
     ap.add_argument("--n-min", type=int, default=4)
     ap.add_argument("--n-max", type=int, default=10)
     ap.add_argument("--steps", type=int, default=9)
-    ap.add_argument("--m", type=int, default=None)
+    ap.add_argument("--m", type=int, default=None,
+                    help="removed interval (default: the middle one)")
     ap.add_argument("--output", type=str, default=None)
     args = ap.parse_args(argv)
-    cfg = Config(n_min=args.n_min, n_max=args.n_max, steps=args.steps,
-                 m=args.m, output=args.output)
 
-    rows = sweep(cfg)
+    rows = sweep(args)
     worst_lower = min(r["lower_slack"] for r in rows)
     worst_upper = min(r["upper_slack"] for r in rows)
-    print(f"{len(rows)} instances, N in [{cfg.n_min}, {cfg.n_max}]")
+    print(f"{len(rows)} instances, N in [{args.n_min}, {args.n_max}]")
     print(f"tightest lower slack: {worst_lower:.6e}")
     print(f"tightest upper slack: {worst_upper:.6e}")
     for r in rows:
@@ -81,9 +70,9 @@ def main(argv=None) -> int:
     if worst_lower < 0 or worst_upper < 0:
         print("certificate violated by the oracle -- this should never happen")
         return 2
-    if cfg.output:
-        jsonio.dump_path({"schema": "v1", "sweep": rows}, cfg.output)
-        print(f"wrote {cfg.output}")
+    if args.output:
+        jsonio.dump_path({"schema": "v1", "sweep": rows}, args.output)
+        print(f"wrote {args.output}")
     return 0
 
 

@@ -13,7 +13,6 @@ denominator N grows; it exits 2 when any certified bound misses the oracle.
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from expobasis import (
@@ -27,23 +26,17 @@ from expobasis import (
 )
 
 
-@dataclass
-class Config:
-    instances: int = 12
-    s_max: int = 3
-    den_max: int = 4  # perturbation denominators drawn from 1..den_max
-    seed: int = 7
-    max_grid: int = 48  # skip instances whose dilated matrix would exceed this
+MAX_GRID = 48  # skip instances whose dilated matrix would exceed this
 
 
-def random_instance(rng: random.Random, cfg: Config):
-    s = rng.randint(2, cfg.s_max)
+def random_instance(rng: random.Random, args):
+    s = rng.randint(2, args.s_max)
     a = [0]
     for _ in range(s - 1):
         a.append(a[-1] + rng.randint(1, 3))
     eps = [Fraction(0)]
     for _ in range(s - 1):
-        den = rng.randint(2, cfg.den_max)
+        den = rng.randint(2, args.den_max)
         num = rng.choice([k for k in range(-(den - 1), den) if k != 0])
         eps.append(Fraction(num, 2 * den))  # keeps |eps| < 1/2
     return s, a, eps
@@ -53,24 +46,23 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--instances", type=int, default=12)
     ap.add_argument("--s-max", type=int, default=3)
-    ap.add_argument("--den-max", type=int, default=4)
+    ap.add_argument("--den-max", type=int, default=4,
+                    help="perturbation denominators drawn from 2..den-max")
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args(argv)
-    cfg = Config(instances=args.instances, s_max=args.s_max,
-                 den_max=args.den_max, seed=args.seed)
 
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     shown = 0
     attempts = 0
     worst_margin = float("inf")
-    while shown < cfg.instances and attempts < 200 * cfg.instances:
+    while shown < args.instances and attempts < 200 * args.instances:
         attempts += 1
-        s, a, eps = random_instance(rng, cfg)
+        s, a, eps = random_instance(rng, args)
         try:
             lo, hi, n, m, _ = delta_window_perturbed_union(s, a, eps)
         except (ResidueClashError, EmptyDeltaWindowError):
             continue
-        if s * n * (a[-1] + 1) > cfg.max_grid:
+        if s * n * (a[-1] + 1) > MAX_GRID:
             continue
         delta = float(lo) + (hi - float(lo)) * rng.random()
         if rng.random() < 0.5:

@@ -15,6 +15,7 @@ from .clusters import (
     sandwich,
 )
 from .constructions import (
+    CONSTRUCTIONS,
     BetaSolution,
     FrameCertificate,
     METHODS,

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: construct, certify, oracle, verify, regress, beta, report.
-Exit codes: 0 success, 1 precondition failure (named error), 2 verification
-failure, 3 malformed JSON input.  ``EXPOBASIS_SEED`` overrides the default
-seed; an explicit ``--seed`` wins over both.  Identical invocations with
-identical seeds emit byte-identical reports.
+Exit codes: 0 success, 1 precondition failure (named error) or usage error,
+2 verification failure, 3 malformed JSON input.  ``EXPOBASIS_SEED``
+overrides the default seed; an explicit ``--seed`` wins over both.  Identical
+invocations with identical seeds emit byte-identical reports.  Rational
+inputs are read exactly: ``0.025`` and ``1/40`` are the same Fraction.  The
+methods, their required options and the dispatch come from ``CONSTRUCTIONS``.
 """
 
 from __future__ import annotations
@@ -14,32 +16,19 @@ import os
 import sys
 from fractions import Fraction
 
-from . import jsonio
+from . import constructions, jsonio
 from .constructions import (
+    CONSTRUCTIONS,
+    METHODS,
     FrameCertificate,
     associated_matrix,
     certificate_from_json,
     certificate_to_json,
-    certify_lattice_subset,
-    certify_lattice_subset_paired,
-    complement_certificate,
-    construct_interval_removal,
-    construct_perturbed_union,
-    residue_orthogonal_basis,
     solve_beta,
 )
 from .errors import JsonInputError, PreconditionError, RegressionFailure
 from .spectral import singular_values
 from .verify import regression_examples, verify_certificate
-
-METHOD_CHOICES = (
-    "perturbed-union",
-    "lattice-subset",
-    "lattice-subset-paired",
-    "interval-removal",
-    "residue-orthogonal",
-    "complement",
-)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -49,13 +38,10 @@ def _parse_int_list(text: str) -> list[int]:
         raise PreconditionError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _parse_rational(text: str):
-    """Exact Fraction for '1/24'-style input, float otherwise."""
-    text = text.strip()
+def _parse_rational(text: str) -> Fraction:
+    """Exact Fraction for '1/24' or '0.025' (which is 1/40, not the float)."""
     try:
-        if "/" in text:
-            return Fraction(text)
-        return float(text)
+        return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise PreconditionError(f"cannot parse number {text!r}") from exc
 
@@ -87,36 +73,24 @@ def _load_input(value: str) -> dict:
     return jsonio.loads(text)
 
 
-def _require(args, names: list[str], method: str):
-    missing = [n for n in names if getattr(args, n.lstrip("-").replace("-", "_"), None) is None]
-    if missing:
-        raise PreconditionError(f"method {method} requires {', '.join(missing)}")
+#: how a construction input is read from its option's text; argparse already
+#: reads the integer options
+_READERS = {
+    "a": _parse_int_list,
+    "epsilons": _parse_rational_list,
+    "delta": _parse_rational,
+    "Delta": _parse_rational,
+    "input": lambda text: certificate_from_json(_load_input(text)),
+}
 
 
 def _build_certificate(args) -> FrameCertificate:
-    method = args.method
-    if method == "perturbed-union":
-        _require(args, ["--s", "--a", "--epsilons", "--delta"], method)
-        return construct_perturbed_union(args.s, _parse_int_list(args.a),
-                                         _parse_rational_list(args.epsilons),
-                                         _parse_rational(args.delta))
-    if method == "lattice-subset":
-        _require(args, ["--N", "--M", "--a", "--u"], method)
-        return certify_lattice_subset(args.N, args.M, _parse_int_list(args.a), args.u)
-    if method == "lattice-subset-paired":
-        _require(args, ["--N", "--M", "--a", "--u"], method)
-        return certify_lattice_subset_paired(args.N, args.M, _parse_int_list(args.a), args.u)
-    if method == "interval-removal":
-        _require(args, ["--N", "--m", "--delta"], method)
-        return construct_interval_removal(args.N, args.m, _parse_rational(args.delta))
-    if method == "residue-orthogonal":
-        _require(args, ["--s", "--a"], method)
-        return residue_orthogonal_basis(args.s, _parse_int_list(args.a))
-    if method == "complement":
-        _require(args, ["--Delta", "--input"], method)
-        parent = certificate_from_json(_load_input(args.input))
-        return complement_certificate(_parse_rational(args.Delta), parent)
-    raise PreconditionError(f"unknown method {method!r}")
+    builder, inputs = CONSTRUCTIONS[args.method.replace("-", "_")]
+    missing = [f"--{name}" for name in inputs if getattr(args, name) is None]
+    if missing:
+        raise PreconditionError(f"method {args.method} requires {', '.join(missing)}")
+    values = [_READERS.get(name, lambda v: v)(getattr(args, name)) for name in inputs]
+    return getattr(constructions, builder)(*values)
 
 
 def _certificate_for(args) -> FrameCertificate:
@@ -215,7 +189,7 @@ def _render_text(doc, prefix: str = "") -> str:
 
 def _add_common(p: argparse.ArgumentParser, with_method: bool = True):
     if with_method:
-        p.add_argument("method", nargs="?", choices=METHOD_CHOICES,
+        p.add_argument("method", nargs="?", choices=[m.replace("_", "-") for m in METHODS],
                        help="construction to run (omit when --input carries a certificate)")
     p.add_argument("--s", type=int, help="number of unit intervals / branches")
     p.add_argument("--N", type=int, help="grid denominator (or block length)")
@@ -225,7 +199,7 @@ def _add_common(p: argparse.ArgumentParser, with_method: bool = True):
     p.add_argument("--a", type=str, help="comma-separated integer left endpoints, e.g. 0,3,7")
     p.add_argument("--epsilons", type=str,
                    help="comma-separated rational perturbations, e.g. 0,1/3,-1/4")
-    p.add_argument("--delta", type=str, help="spectral shift (float or p/q)")
+    p.add_argument("--delta", type=str, help="spectral shift, read exactly (0.025 or 1/40)")
     p.add_argument("--Delta", type=str, help="length of the ambient block [0, Delta)")
     p.add_argument("--input", type=str, help="path to (or inline) JSON input")
     p.add_argument("--output", type=str, help="write the report here instead of stdout")
@@ -235,8 +209,16 @@ def _add_common(p: argparse.ArgumentParser, with_method: bool = True):
     p.add_argument("--format", choices=("json", "text"), default="json")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like a precondition failure: 2 means verification failed."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="expobasis",
         description="certified exponential Riesz bases on unions of unit intervals",
     )

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
+from .domains import as_fraction
 from .errors import AngleConditionError, ClusterSizeError, PreconditionError, RankDeficientError
 from .vandermonde import coherence, progression_matrix
 
@@ -46,7 +48,7 @@ class ClusterPartition:
 
     clusters: tuple[tuple[int, ...], ...]
     nodes: tuple[int, ...]
-    spacing: float
+    spacing: Fraction
     length: int
     threshold: float
     cross_coherence: float
@@ -71,6 +73,7 @@ def partition_by_coherence(
     in different components; alpha = arcsin(cross / length).
     """
     n = len(nodes)
+    spacing = as_fraction(spacing)
     if n < 1:
         raise PreconditionError("partition needs at least one node")
     if length < 1:
@@ -115,7 +118,7 @@ def partition_by_coherence(
     return ClusterPartition(
         clusters=clusters,
         nodes=tuple(int(v) for v in nodes),
-        spacing=float(spacing),
+        spacing=spacing,
         length=length,
         threshold=tau,
         cross_coherence=cross,

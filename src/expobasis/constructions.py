@@ -1,10 +1,12 @@
 """Certified exponential-basis constructions on modified interval unions.
 
-Each constructor validates its admissibility window exactly (rational
-arithmetic wherever the data is rational) and emits a ``FrameCertificate``
-with closed-form lower/upper Riesz constants.  The certificate names its
-exponent system and its domain, and ``associated_matrix`` reduces that pair
-to the node matrix the singular-value oracle checks.
+Each constructor converts its rational inputs to ``Fraction`` on entry,
+validates its admissibility window exactly, and emits a ``FrameCertificate``
+with closed-form lower/upper Riesz constants.  ``CONSTRUCTIONS`` declares
+every construction once: its method name, its builder and its inputs.  The
+certificate names its exponent system and its domain, and
+``associated_matrix`` reduces that pair to the node matrix the
+singular-value oracle checks.
 
 The certified bounds all follow one mechanism: pairwise column coherence is a
 sine ratio of the node difference, large-coherence pairs form clusters of at
@@ -48,6 +50,7 @@ from .vandermonde import NodeMatrix, build_gamma, sin_ratio
 
 __all__ = [
     "BetaSolution",
+    "CONSTRUCTIONS",
     "FrameCertificate",
     "METHODS",
     "signed_sin_ratio",
@@ -70,15 +73,18 @@ __all__ = [
     "certificate_from_json",
 ]
 
-METHODS = (
-    "perturbed_union",
-    "lattice_subset",
-    "lattice_subset_paired",
-    "interval_removal",
-    "residue_orthogonal",
-    "complement",
-    "oracle",
-)
+#: method -> (builder, the builder's inputs in call order, named as the CLI
+#: options that carry them).  Builders are named, not bound, so a lookup at
+#: call time sees any wrapper later placed on this module's attributes.
+CONSTRUCTIONS = {
+    "perturbed_union": ("construct_perturbed_union", ("s", "a", "epsilons", "delta")),
+    "lattice_subset": ("certify_lattice_subset", ("N", "M", "a", "u")),
+    "lattice_subset_paired": ("certify_lattice_subset_paired", ("N", "M", "a", "u")),
+    "interval_removal": ("construct_interval_removal", ("N", "m", "delta")),
+    "residue_orthogonal": ("residue_orthogonal_basis", ("s", "a")),
+    "complement": ("complement_certificate", ("Delta", "input")),
+}
+METHODS = tuple(CONSTRUCTIONS)
 
 
 # --- scalar helpers -------------------------------------------------------
@@ -164,8 +170,8 @@ Interval = tuple[Fraction, Fraction]
 class FrameCertificate:
     """Certified Riesz bounds A <= ||sum a_j v_j||^2 / sum |a_j|^2 <= B.
 
-    ``params`` keeps the construction inputs (exact rationals where the input
-    was rational) for the record; verification reads only ``system`` and
+    ``params`` keeps the construction inputs (rationals as ``Fraction``) for
+    the record; verification reads only ``system`` and
     ``domain_intervals``.  ``flags`` records conventions and vacuity warnings.
     """
 
@@ -186,15 +192,6 @@ class FrameCertificate:
     @property
     def vacuous(self) -> bool:
         return self.A <= 0.0
-
-    def contains(self, sigma_squares: Sequence[float], scale: float = 1.0, tol: float = 0.0):
-        """First (index, side) at which scaled constants miss a sigma^2, else None."""
-        for j, s2 in enumerate(sigma_squares):
-            if s2 < self.A * scale - tol:
-                return j, "lower"
-            if s2 > self.B * scale + tol:
-                return j, "upper"
-        return None
 
 
 def _unit_intervals(endpoints: Sequence[int]) -> tuple[Interval, ...]:
@@ -267,12 +264,10 @@ def construct_perturbed_union(s: int, a: Sequence[int], eps: Sequence, delta) ->
     """
     a, eps = _validated_perturbation(s, a, eps)
     lo, hi, n, m, beta = delta_window_perturbed_union(s, a, eps)
-    delta = as_fraction(delta) if not isinstance(delta, float) else delta
-    mag = abs(delta)
-    in_window = (mag >= lo if isinstance(mag, Fraction) else mag >= float(lo)) and float(mag) <= hi
-    if not in_window:
+    delta = as_fraction(delta)
+    if not lo <= abs(delta) <= hi:
         raise DeltaWindowError(
-            f"|delta| = {float(mag)} outside [{float(lo)}, {hi}] for (s={s}, N={n}, m={m})"
+            f"|delta| = {float(abs(delta))} outside [{float(lo)}, {hi}] for (s={s}, N={n}, m={m})"
         )
     domain = RationalIntervalUnion([a_j + e_j for a_j, e_j in zip(a, eps)])
     big_m = s * n
@@ -280,9 +275,7 @@ def construct_perturbed_union(s: int, a: Sequence[int], eps: Sequence, delta) ->
     envelope = big_m * math.sin(1.0 / big_m)
     A = (1.0 - envelope) * (big_m - ratio) / n
     B = (1.0 + envelope) * (big_m + ratio) / n
-    offsets = [Fraction(j, s) + j * delta if isinstance(delta, Fraction) else j / s + j * float(delta)
-               for j in range(s)]
-    system = ExponentSystem(offsets, domain_scale=1)
+    system = ExponentSystem([j * (Fraction(1, s) + delta) for j in range(s)], domain_scale=1)
     return FrameCertificate(
         method="perturbed_union",
         A=A,
@@ -432,11 +425,14 @@ def certify_lattice_subset_paired(
 # --- one interval removed -------------------------------------------------
 
 def delta_window_interval_removal(n: int):
-    """Open window (1/(2M^2), 1/M - beta) for the delta of [0, N) minus one interval, M = N-1."""
+    """Open window (1/(2M^2), 1/M - beta) for the delta of [0, N) minus one interval, M = N-1.
+
+    lo is exact (a Fraction); hi is a float through beta.
+    """
     if not isinstance(n, int) or n <= 2:
         raise PreconditionError(f"need integer N > 2, got {n}")
     beta = solve_beta(n - 1)
-    return 1.0 / (2 * (n - 1) ** 2), 1.0 / (n - 1) - beta.beta, beta
+    return Fraction(1, 2 * (n - 1) ** 2), 1.0 / (n - 1) - beta.beta, beta
 
 
 def construct_interval_removal(n: int, m: int, delta) -> FrameCertificate:
@@ -449,24 +445,21 @@ def construct_interval_removal(n: int, m: int, delta) -> FrameCertificate:
     if not isinstance(m, int) or not 1 <= m < n - 1:
         raise PreconditionError(f"need integer 1 <= m < N-1 = {n - 1}, got {m}")
     big_m = n - 1
-    df = float(delta)
-    if not lo < df < hi:
-        raise DeltaWindowError(f"delta = {df} outside the open window ({lo}, {hi}) for N = {n}")
+    delta = as_fraction(delta)
+    if not lo < delta < hi:
+        raise DeltaWindowError(
+            f"delta = {float(delta)} outside the open window ({float(lo)}, {hi}) for N = {n}")
     envelope = big_m * math.sin(1.0 / big_m)
     spread = 1.0 / math.sin(math.pi / (2 * big_m))
     A = (1.0 - envelope) * (big_m - spread)
     B = (1.0 + envelope) * (big_m + spread)
     endpoints = [k for k in range(n) if k != m]
-    if isinstance(delta, (int, Fraction)):
-        delta = as_fraction(delta)
-        offsets = [Fraction(j, big_m) - j * delta for j in range(big_m)]
-    else:
-        offsets = [j / big_m - j * df for j in range(big_m)]
+    step = Fraction(1, big_m) - delta
     return FrameCertificate(
         method="interval_removal",
         A=A,
         B=B,
-        system=ExponentSystem(offsets, domain_scale=1),
+        system=ExponentSystem([j * step for j in range(big_m)], domain_scale=1),
         domain_intervals=_unit_intervals(endpoints),
         params={"N": n, "m": m, "delta": delta, "beta": beta.beta, "window": [lo, hi]},
         flags=_vacuity_flags(A),
@@ -547,8 +540,6 @@ def complement_certificate(delta_total, cert: FrameCertificate) -> FrameCertific
     q = int(q)
     residues = set()
     for phi in cert.system.branch_offsets:
-        if not isinstance(phi, Fraction):
-            raise LatticeError("branch offsets must be exact rationals for complements")
         r = phi * q
         if r.denominator != 1:
             raise LatticeError(f"branch offset {phi} is not a multiple of 1/{q}")
@@ -637,7 +628,7 @@ def _read(doc: dict, key: str, parse):
     """parse(doc[key]); a missing or ill-typed value raises a PreconditionError naming the key."""
     try:
         return parse(doc[key])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise PreconditionError(f"certificate key {key!r} is missing or ill-typed: {exc!r}") from exc
 
 

@@ -1,7 +1,8 @@
 """Domains (finite unions of unit intervals) and exponent systems.
 
-All interval endpoints are exact rationals (`fractions.Fraction`), so dilating
-a union onto its integer grid and reducing phases mod 1 are exact operations.
+All interval endpoints and branch offsets are exact rationals
+(`fractions.Fraction`; a float converts exactly on entry), so dilating a union
+onto its integer grid and reducing phases mod 1 are exact operations.
 A union is stored by the left endpoints of its unit-length intervals:
 ``{e_j}`` represents ``U_j [e_j, e_j + 1)``.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from typing import Iterable, Sequence
 
 from .errors import OverlapError, PreconditionError
@@ -46,11 +47,17 @@ def fraction_to_json(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
+def _json_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def fraction_from_json(obj: dict) -> Fraction:
-    try:
-        return Fraction(int(obj["num"]), int(obj["den"]))
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
-        raise PreconditionError(f"malformed rational: {obj!r}") from exc
+    """Read ``{"num": p, "den": q}``: p a JSON integer, q a positive one."""
+    if not (isinstance(obj, dict) and _json_int(obj.get("num"))
+            and _json_int(obj.get("den")) and obj["den"] > 0):
+        raise PreconditionError(
+            f"malformed rational {obj!r}: need integer 'num' and positive integer 'den'")
+    return Fraction(obj["num"], obj["den"])
 
 
 def _validated_endpoints(endpoints: Sequence[Fraction], min_gap) -> tuple:
@@ -167,11 +174,8 @@ def residues_distinct(endpoints: Sequence[int], modulus: int) -> bool:
     return len(set(res)) == len(res)
 
 
-def _wrapped_offsets_distinct(offsets: Sequence[Fraction | float]) -> bool:
-    reduced = sorted(
-        (float(phi % 1) if isinstance(phi, Fraction) else float(phi) % 1.0)
-        for phi in offsets
-    )
+def _wrapped_offsets_distinct(offsets: Sequence[Fraction]) -> bool:
+    reduced = sorted(phi.numerator % phi.denominator / phi.denominator for phi in offsets)
     if len(reduced) < 2:
         return True
     gaps = [b - a for a, b in zip(reduced, reduced[1:])]
@@ -188,13 +192,11 @@ class ExponentSystem:
     factor is rational.
     """
 
-    branch_offsets: tuple[Fraction | float, ...]
+    branch_offsets: tuple[Fraction, ...]
     domain_scale: Fraction = field(default=Fraction(1))
 
     def __init__(self, branch_offsets: Iterable, domain_scale=Fraction(1)):
-        offs = tuple(
-            phi if isinstance(phi, float) else as_fraction(phi) for phi in branch_offsets
-        )
+        offs = tuple(as_fraction(phi) for phi in branch_offsets)
         if not offs:
             raise PreconditionError("a system needs at least one branch")
         if not _wrapped_offsets_distinct(offs):
@@ -213,30 +215,29 @@ class ExponentSystem:
         """Truncated frequency list: branch-major, n from -n_max to n_max."""
         if n_max < 0:
             raise PreconditionError(f"n_max must be >= 0, got {n_max}")
-        scale = self.domain_scale
-        out = []
-        for phi in self.branch_offsets:
-            for n in range(-n_max, n_max + 1):
-                out.append(float((n + phi) / scale) if not isinstance(phi, float)
-                           else (n + phi) / float(scale))
-        return out
+        # (n + p/q) / (a/b) = (n q + p) b / (q a): one rounding, in int / int
+        a, b = self.domain_scale.numerator, self.domain_scale.denominator
+        return [(n * phi.denominator + phi.numerator) * b / (phi.denominator * a)
+                for phi in self.branch_offsets for n in range(-n_max, n_max + 1)]
 
     def to_json(self) -> dict:
-        def off(phi):
-            return fraction_to_json(phi) if isinstance(phi, Fraction) else phi
-
         return {
-            "branch_offsets": [off(phi) for phi in self.branch_offsets],
+            "branch_offsets": [fraction_to_json(phi) for phi in self.branch_offsets],
             "domain_scale": fraction_to_json(self.domain_scale),
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExponentSystem":
-        offs = [
-            fraction_from_json(phi) if isinstance(phi, dict) else float(phi)
-            for phi in doc["branch_offsets"]
-        ]
+        """Offsets are ``{num, den}`` objects or, as older documents wrote them, numbers."""
+        offs = [fraction_from_json(phi) if isinstance(phi, dict) else _json_number(phi)
+                for phi in doc["branch_offsets"]]
         return cls(offs, fraction_from_json(doc["domain_scale"]))
+
+
+def _json_number(v) -> Fraction:
+    if not (_json_int(v) or isinstance(v, float) and isfinite(v)):
+        raise PreconditionError(f"a branch offset must be a finite number or a rational, got {v!r}")
+    return Fraction(v)
 
 
 def rescale_system(

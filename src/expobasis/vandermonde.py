@@ -3,9 +3,10 @@
 A system with branch offsets ``{delta_j}`` on a union with integer nodes
 ``{p_k}`` is a Riesz basis exactly when the square matrix
 ``Gamma[j, k] = exp(2 pi i delta_j p_k)`` is nonsingular, and its optimal
-frame constants are the extreme squared singular values of Gamma.  Phases
-``delta_j * p_k`` are reduced mod 1 in exact rational arithmetic whenever the
-offset is rational, so entries are accurate to one rounding of the phase.
+frame constants are the extreme squared singular values of Gamma.  Offsets
+are exact rationals (a float converts exactly on entry), and the phases
+``delta_j * p_k`` are reduced mod 1 in integer arithmetic, so entries are
+accurate to one rounding of the phase.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .domains import IntegerIntervalUnion
+from .domains import IntegerIntervalUnion, as_fraction
 from .errors import PreconditionError
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
     "matrix_from_bytes",
 ]
 
-TWO_PI = 2.0 * math.pi
+TWO_PI_I = 1j * (2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -62,20 +62,11 @@ def nodes_of_union(union: IntegerIntervalUnion) -> tuple[int, ...]:
     return nodes
 
 
-def _unit_phase(delta, node: int) -> float:
-    """Fractional part of delta * node, exact when delta is rational."""
-    if isinstance(delta, (int, Fraction)):
-        p = Fraction(delta) * node
-        return float(p - (p.numerator // p.denominator))
-    return math.fmod(delta * node, 1.0)
-
-
 def build_gamma(deltas: Sequence, nodes: Sequence[int]) -> NodeMatrix:
     """Assemble Gamma[j, k] = exp(2 pi i deltas[j] * nodes[k]).
 
-    ``deltas`` may mix floats and Fractions; rational offsets take the exact
-    phase-reduction path.  Nodes must be distinct integers and are sorted
-    ascending.
+    The phase of delta = p/q at node n is ``(p n mod q) / q``, exact up to its
+    one rounding.  Nodes must be distinct integers and are sorted ascending.
     """
     if len(deltas) != len(nodes) or not deltas:
         raise PreconditionError(
@@ -84,11 +75,12 @@ def build_gamma(deltas: Sequence, nodes: Sequence[int]) -> NodeMatrix:
     ordered = sorted(int(n) for n in nodes)
     if len(set(ordered)) != len(ordered):
         raise PreconditionError("nodes must be pairwise distinct")
+    deltas = [as_fraction(d) for d in deltas]
     L = len(ordered)
     entries = np.empty((L, L), dtype=np.complex128)
     for j, d in enumerate(deltas):
-        for k, p in enumerate(ordered):
-            entries[j, k] = cmath.exp(1j * TWO_PI * _unit_phase(d, p))
+        p, q = d.numerator, d.denominator
+        entries[j] = [cmath.exp(TWO_PI_I * (p * n % q / q)) for n in ordered]
     return NodeMatrix(
         entries=entries,
         nodes=tuple(ordered),
@@ -101,9 +93,8 @@ def progression_matrix(nodes: Sequence[int], spacing, size: int | None = None) -
     L = len(nodes) if size is None else size
     if L != len(nodes):
         raise PreconditionError("progression matrix must be square: size == len(nodes)")
-    deltas = [j * spacing if isinstance(spacing, (int, Fraction)) else j * float(spacing)
-              for j in range(L)]
-    return build_gamma(deltas, nodes)
+    spacing = as_fraction(spacing)
+    return build_gamma([j * spacing for j in range(L)], nodes)
 
 
 def wrap_distance(t: float, s: float = 0.0) -> float:
@@ -113,12 +104,10 @@ def wrap_distance(t: float, s: float = 0.0) -> float:
 
 
 def _wrap_value(x) -> float:
-    """Wrap representative in [0, 1/2], exact for rationals."""
-    if isinstance(x, (int, Fraction)):
-        f = Fraction(x)
-        r = f - (f.numerator // f.denominator)
-        return float(min(r, 1 - r))
-    return wrap_distance(float(x))
+    """Wrap representative in [0, 1/2], reduced exactly."""
+    f = as_fraction(x)
+    r = f - (f.numerator // f.denominator)
+    return float(min(r, 1 - r))
 
 
 def sin_ratio(m: int, x) -> float:
@@ -143,9 +132,7 @@ def coherence(node_a: int, node_b: int, spacing, length: int) -> float:
     """
     if node_a == node_b:
         raise PreconditionError("coherence needs two distinct nodes")
-    d = node_a - node_b
-    x = d * spacing if isinstance(spacing, (int, Fraction)) else d * float(spacing)
-    return sin_ratio(length, x)
+    return sin_ratio(length, (node_a - node_b) * as_fraction(spacing))
 
 
 # --- serialization -------------------------------------------------------

@@ -37,6 +37,7 @@ from expobasis import (
     singular_values,
     solve_beta,
     threshold_u,
+    verify_certificate,
 )
 
 
@@ -123,6 +124,12 @@ def test_criterion_4_beta_solver_range():
     assert ok, line
 
 
+def _oracle_violations(cert):
+    """Route-1 violations from the product's own check: sigma^2 outside the
+    scaled [A, B] (per-side relative tolerance), or a singular matrix under A > 0."""
+    return [v for v in verify_certificate(cert).violations if v["route"] == "oracle"]
+
+
 def test_criterion_5_interval_removal_soundness():
     start = time.perf_counter()
     checked = 0
@@ -135,12 +142,9 @@ def test_criterion_5_interval_removal_soundness():
             for k in range(1, 6):
                 delta = lo + (hi - lo) * k / 6.0
                 cert = construct_interval_removal(n, m, delta)
-                matrix, scale = associated_matrix(cert)
-                spec = singular_values(matrix)
-                sig2 = [v * v for v in spec.values]
-                hit = cert.contains(sig2, scale, 1e-8)
-                if hit is not None or (cert.A > 0 and spec.is_singular):
-                    failures.append((n, m, delta, hit))
+                hits = _oracle_violations(cert)
+                if hits:
+                    failures.append((n, m, delta, hits))
                 checked += 1
     elapsed = time.perf_counter() - start
     ok = not failures and checked == sum(5 * (n - 2) for n in range(4, 11)) and elapsed < 10.0
@@ -186,12 +190,10 @@ def test_criterion_6_perturbed_union_soundness_grid():
         for _ in range(10):
             a, eps, delta = _draw_perturbed_instance(rng, s, n_eff)
             cert = construct_perturbed_union(s, a, eps, delta)
-            matrix, scale = associated_matrix(cert)
-            assert s * n_eff * matrix.size <= 36
-            spec = singular_values(matrix)
-            hit = cert.contains([v * v for v in spec.values], scale, 1e-8)
-            if hit is not None:
-                failures.append((s, n, a, eps, float(delta), hit))
+            assert s * n_eff * associated_matrix(cert)[0].size <= 36
+            hits = _oracle_violations(cert)
+            if hits:
+                failures.append((s, n, a, eps, float(delta), hits))
             checked += 1
     elapsed = time.perf_counter() - start
     ok = not failures and checked == 50 and elapsed < 60.0
@@ -217,9 +219,7 @@ def test_criterion_7_lattice_subset_enumeration():
         found[(n, m)] = admissible
         for a in admissible:
             cert = certify_lattice_subset(n, m, list(a), u)
-            matrix, scale = associated_matrix(cert)
-            sig2 = [v * v for v in singular_values(matrix).values]
-            if cert.contains(sig2, scale, 1e-8) is not None:
+            if _oracle_violations(cert):
                 failures.append((n, m, a))
     elapsed = time.perf_counter() - start
 

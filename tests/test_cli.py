@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, JSON reports, seeding, file output."""
 
+import inspect
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from expobasis import CONSTRUCTIONS, METHODS, constructions
 from expobasis.cli import main
 from expobasis.jsonio import loads
 
@@ -156,8 +160,9 @@ def _set_interval(value):
     (_set("params", [1, 2]), "params"),
     (_set("system", {"branch_offsets": ["x"]}), "system"),
     (_set_interval({"start": {"num": 0, "den": 1}}), "domain"),
+    (_set("A", 10**400), "A"),  # float() overflows
 ], ids=["schema_only", "no_domain", "no_system", "no_params", "no_A", "string_B",
-        "list_params", "string_offset", "interval_without_end"])
+        "list_params", "string_offset", "interval_without_end", "huge_A"])
 def test_truncated_certificate_is_a_named_error(run, mutate, key):
     _, cert_text, _ = run(["certify", "residue-orthogonal", "--s", "2", "--a", "0,3"])
     doc = mutate(json.loads(cert_text))
@@ -166,6 +171,40 @@ def test_truncated_certificate_is_a_named_error(run, mutate, key):
     assert out == ""
     assert err.startswith("error [PreconditionError]")
     assert repr(key) in err
+
+
+def _set_offset(value):
+    return lambda doc: {**doc, "system": {**doc["system"], "branch_offsets": [
+        doc["system"]["branch_offsets"][0], value]}}
+
+
+@pytest.mark.parametrize("mutate, key", [
+    (_set_interval({"start": {"num": 0.5, "den": 1}, "end": {"num": 1, "den": 1}}), "domain"),
+    (_set_interval({"start": {"num": 0, "den": 1}, "end": {"num": "1", "den": 1}}), "domain"),
+    (_set_interval({"start": {"num": 0, "den": True}, "end": {"num": 1, "den": 1}}), "domain"),
+    (_set_offset(True), "system"),
+    (_set_offset({"num": 1, "den": 0}), "system"),
+], ids=["float_num", "string_num", "bool_den", "bool_offset", "zero_den"])
+def test_ill_typed_rational_is_a_named_error(run, mutate, key):
+    _, cert_text, _ = run(["certify", "residue-orthogonal", "--s", "2", "--a", "0,3"])
+    doc = mutate(json.loads(cert_text))
+    for sub in ("verify", "oracle"):
+        code, out, err = run([sub, "--input", json.dumps(doc)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error [PreconditionError]")
+        assert repr(key) in err
+
+
+def test_decimal_input_is_read_exactly(run):
+    base = ["certify", "interval-removal", "--N", "6", "--m", "2", "--delta"]
+    code, decimal, _ = run(base + ["0.025"])
+    assert code == 0
+    assert decimal == run(base + ["1/40"])[1]
+    offsets = loads(decimal)["system"]["branch_offsets"]
+    assert [Fraction(o["num"], o["den"]) for o in offsets] == [Fraction(7 * j, 40)
+                                                               for j in range(5)]
+    base = ["certify", "perturbed-union", "--s", "2", "--a", "0,3", "--epsilons", "0,1/3", "--delta"]
+    assert run(base + ["0.0006"])[1] == run(base + ["3/5000"])[1]
 
 
 def test_unreadable_input_is_a_named_error(run, tmp_path):
@@ -185,9 +224,27 @@ def test_precondition_failures_are_exit_one(run):
     assert "--delta" in err
 
 
-def test_unknown_method_is_an_argparse_error(run):
-    with pytest.raises(SystemExit):
-        main(["certify", "no-such-method"])
+@pytest.mark.parametrize("method", METHODS)
+def test_every_construction_is_dispatched_from_the_table(run, method):
+    builder, inputs = CONSTRUCTIONS[method]
+    code, _, err = run(["certify", method.replace("_", "-")])
+    assert code == 1
+    assert f"requires {', '.join('--' + name for name in inputs)}" in err
+    signature = inspect.signature(getattr(constructions, builder))
+    assert len([p for p in signature.parameters.values() if p.default is p.empty]) == len(inputs)
+
+
+def test_unknown_method_is_an_argparse_error(run, capsys):
+    # a usage error exits 1 like any precondition failure; 2 means "verification failed"
+    for argv in (["certify", "no-such-method"],
+                 ["certify", "interval-removal", "--N", "x", "--m", "1", "--delta", "1/40"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.startswith("usage: expobasis certify")
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--help"])
+    assert exc.value.code == 0
 
 
 def test_regress_subcommand(run):
@@ -227,3 +284,76 @@ def test_output_file_matches_stdout_payload(run, tmp_path):
     code, out, _ = run(args + ["--output", str(target)])
     assert code == 0 and out == ""
     assert target.read_text() == stdout_text
+
+
+# --- fuzzed certificate documents ----------------------------------------------------
+
+def _base_documents():
+    from expobasis import (certificate_to_json, certify_lattice_subset,
+                           certify_lattice_subset_paired, complement_certificate,
+                           construct_interval_removal, construct_perturbed_union,
+                           residue_orthogonal_basis)
+    from expobasis.jsonio import dumps
+    certs = [
+        construct_perturbed_union(2, [0, 3], [Fraction(0), Fraction(1, 3)], Fraction(3, 5000)),
+        certify_lattice_subset(12, 3, [0, 4, 8], 1),
+        certify_lattice_subset_paired(16, 4, [0, 1, 8, 9], 1),
+        construct_interval_removal(4, 1, Fraction(2, 25)),
+        residue_orthogonal_basis(2, [0, 3]),
+        complement_certificate(3, residue_orthogonal_basis(1, [0])),
+    ]
+    return {cert.method: json.loads(dumps(certificate_to_json(cert))) for cert in certs}
+
+
+_BASE_DOCUMENTS = _base_documents()
+
+
+def _paths(node, prefix=()):
+    """Every (path, is_leaf) below ``node``, where a path is a tuple of keys/indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        path = prefix + (key,)
+        container = isinstance(child, (dict, list))
+        yield path, not container
+        if container:
+            yield from _paths(child, path)
+
+
+_INTS = st.integers(-64, 64)
+_LEAVES = st.one_of(
+    _INTS, st.booleans(), st.none(), st.text(max_size=3),
+    st.floats(-64, 64, allow_nan=False, allow_infinity=False),
+    st.just([]), st.just({}),
+    st.builds(lambda f, d: {"num": f, "den": d}, st.floats(-2, 2), _INTS),  # float num
+    st.builds(lambda n, d: {"num": n, "den": d}, _INTS, st.integers(-64, 0)),  # den <= 0
+    st.builds(lambda n, d: {"nested": {"num": n, "den": d}}, _INTS, _INTS),
+)
+
+
+@st.composite
+def _mutated_document(draw):
+    import copy
+    doc = copy.deepcopy(_BASE_DOCUMENTS[draw(st.sampled_from(sorted(_BASE_DOCUMENTS)))])
+    path, is_leaf = draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if is_leaf and draw(st.booleans()):
+        parent[path[-1]] = draw(_LEAVES)
+    else:
+        del parent[path[-1]]
+    return doc
+
+
+@given(_mutated_document())
+@settings(max_examples=150, deadline=None)
+def test_mutated_certificates_never_raise(doc):
+    import contextlib
+    import io
+    text = json.dumps(doc)
+    for argv in (["verify", "--input", text, "--trials", "4", "--n-max", "2", "--seed", "1"],
+                 ["oracle", "--input", text]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (argv[0], code, err.getvalue())

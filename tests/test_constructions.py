@@ -46,11 +46,9 @@ from expobasis import (
 from expobasis import certificate_from_json, certificate_to_json
 
 
-def oracle_contained(cert, tol=1e-8):
-    """True when the certificate's own matrix spectrum sits inside [A, B]."""
-    matrix, scale = associated_matrix(cert)
-    spec = singular_values(matrix)
-    return cert.contains([v * v for v in spec.values], scale, tol) is None
+def oracle_contained(cert):
+    """True when verify_certificate finds no route-1 (node-matrix) violation."""
+    return not any(v["route"] == "oracle" for v in verify_certificate(cert).violations)
 
 
 # --- signed sine ratio and beta ----------------------------------------------------
@@ -157,7 +155,9 @@ def test_perturbed_union_frozen_pair():
     cert = construct_perturbed_union(2, [0, 3], [Fraction(0), Fraction(0)], 0.05)
     assert cert.A == 0.0028042310864369794
     assert cert.B == 7.701911845076334
-    assert cert.system.branch_offsets == (0.0, 0.55)
+    # the float 0.05 enters as its exact binary value, not rounded again
+    assert cert.system.branch_offsets == (0, Fraction(1, 2) + Fraction(0.05))
+    assert cert.params["delta"] == Fraction(0.05)
     assert set(cert.flags) >= {"statement_offsets", "m_includes_grid_factor"}
     assert not cert.vacuous
 
@@ -329,7 +329,7 @@ def test_interval_removal_constants_ignore_m_and_delta():
 
 def test_interval_removal_window_formula():
     lo, hi, beta = delta_window_interval_removal(4)
-    assert lo == 1 / 18
+    assert lo == Fraction(1, 18)
     assert beta == solve_beta(3)
     assert hi == 1 / 3 - beta.beta
     assert construct_interval_removal(4, 1, 0.08).params["window"] == [lo, hi]
@@ -414,7 +414,7 @@ def test_complement_of_single_interval_keeps_reflected_constants():
     matrix, scale = associated_matrix(comp)
     sig2 = sorted(v * v for v in singular_values(matrix).values)
     assert sig2 == pytest.approx([1.0, 3.0], abs=1e-9)
-    assert comp.contains(sig2, scale, 1e-8) is not None
+    assert not oracle_contained(comp)
 
 
 def test_complement_counterexample_with_two_blocks():
@@ -438,7 +438,7 @@ def test_complement_is_an_involution():
 
 def test_complement_off_unit_scale_has_scaled_matrix_oracle():
     parent = FrameCertificate(
-        method="oracle", A=1.0, B=1.0,
+        method="residue_orthogonal", A=1.0, B=1.0,
         system=ExponentSystem((Fraction(0),), domain_scale=Fraction(3)),
         domain_intervals=((Fraction(0), Fraction(3)),))
     comp = complement_certificate(9, parent)
@@ -462,7 +462,7 @@ def test_complement_preconditions():
     with pytest.raises(LatticeError):
         complement_certificate(3, residue_orthogonal_basis(2, [0, 3]))
     full = FrameCertificate(
-        method="oracle", A=2.0, B=2.0,
+        method="residue_orthogonal", A=2.0, B=2.0,
         system=ExponentSystem((Fraction(0), Fraction(1, 3), Fraction(2, 3)),
                               domain_scale=Fraction(1)),
         domain_intervals=((Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)),
@@ -470,7 +470,7 @@ def test_complement_preconditions():
     with pytest.raises(ComplementRangeError):
         complement_certificate(3, full)
     escape = FrameCertificate(
-        method="oracle", A=1.0, B=2.0,
+        method="lattice_subset", A=1.0, B=2.0,
         system=ExponentSystem((Fraction(0), Fraction(1, 3)), domain_scale=Fraction(1)),
         domain_intervals=((Fraction(0), Fraction(1)), (Fraction(3), Fraction(4))))
     with pytest.raises(PreconditionError):
@@ -517,22 +517,14 @@ def test_certificate_validation():
     system = ExponentSystem((Fraction(0),), domain_scale=Fraction(1))
     box = ((Fraction(0), Fraction(1)),)
     with pytest.raises(PreconditionError):
-        FrameCertificate(method="oracle", A=2.0, B=1.0, system=system, domain_intervals=box)
-    with pytest.raises(PreconditionError):
-        FrameCertificate(method="mystery", A=1.0, B=1.0, system=system, domain_intervals=box)
-    vac = FrameCertificate(method="oracle", A=-0.5, B=1.0, system=system, domain_intervals=box)
+        FrameCertificate(method="residue_orthogonal", A=2.0, B=1.0, system=system,
+                         domain_intervals=box)
+    for unknown in ("mystery", "oracle"):  # no constructor emits "oracle"
+        with pytest.raises(PreconditionError):
+            FrameCertificate(method=unknown, A=1.0, B=1.0, system=system, domain_intervals=box)
+    vac = FrameCertificate(method="residue_orthogonal", A=-0.5, B=1.0, system=system,
+                           domain_intervals=box)
     assert vac.vacuous
-
-
-def test_certificate_contains_reports_index_and_side():
-    system = ExponentSystem((Fraction(0),), domain_scale=Fraction(1))
-    cert = FrameCertificate(method="oracle", A=1.0, B=2.0, system=system,
-                            domain_intervals=((Fraction(0), Fraction(1)),))
-    assert cert.contains([1.5, 1.0, 2.0], 1.0, 0.0) is None
-    assert cert.contains([0.5], 1.0, 1e-9) == (0, "lower")
-    assert cert.contains([1.5, 2.5], 1.0, 1e-9) == (1, "upper")
-    # scale multiplies the certified window
-    assert cert.contains([3.0], 2.0, 1e-9) is None
 
 
 @pytest.mark.parametrize("build", [

@@ -144,6 +144,24 @@ def test_fraction_json_helpers():
         fraction_from_json({"num": 1})
 
 
+@pytest.mark.parametrize("doc", [
+    {"num": 0.5, "den": 1}, {"num": 1, "den": 2.0}, {"num": True, "den": 1},
+    {"num": 1, "den": False}, {"num": "3", "den": 1}, {"num": 1, "den": 0},
+    {"num": 1, "den": -2}, {"num": [], "den": 1}, {"num": {}, "den": 1}, [1, 2], 0.5,
+])
+def test_fraction_from_json_reads_only_integers(doc):
+    # int() would have truncated 0.5 to 0 and read true as 1
+    with pytest.raises(PreconditionError):
+        fraction_from_json(doc)
+
+
+@pytest.mark.parametrize("offset", [True, "0.5", None, [], float("inf"), {"num": 0.5, "den": 1}])
+def test_system_json_rejects_ill_typed_offsets(offset):
+    doc = {"branch_offsets": [{"num": 0, "den": 1}, offset], "domain_scale": {"num": 1, "den": 1}}
+    with pytest.raises(PreconditionError):
+        ExponentSystem.from_json(doc)
+
+
 # --- integer normalization ----------------------------------------------------
 
 def test_normalize_examples():
@@ -243,6 +261,7 @@ def test_system_rejects_offset_collision_mod_one():
 
 def test_system_float_offsets_allowed():
     sys_ = ExponentSystem((0.0, 0.55), domain_scale=Fraction(1))
+    assert sys_.branch_offsets == (Fraction(0), Fraction(0.55))  # converted exactly
     assert sys_.frequencies(1)[-1] == pytest.approx(1.55)
 
 
@@ -253,6 +272,11 @@ def test_system_json_round_trip():
     assert back.domain_scale == Fraction(2)
     assert back.branch_offsets[0] == Fraction(0)
     assert back.branch_offsets[1] == 0.51
+    assert doc["branch_offsets"][1] == {"num": Fraction(0.51).numerator,
+                                        "den": Fraction(0.51).denominator}
+    # documents that stored an offset as a plain number still read, exactly
+    doc["branch_offsets"][1] = 0.51
+    assert ExponentSystem.from_json(doc) == back
 
 
 # --- rescaling -----------------------------------------------------------------
