@@ -15,8 +15,8 @@ from .clusters import (
     sandwich,
 )
 from .constructions import (
-    CONSTRUCTIONS,
     BetaSolution,
+    CONSTRUCTIONS,
     FrameCertificate,
     METHODS,
     associated_matrix,

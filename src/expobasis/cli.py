@@ -19,8 +19,8 @@ from fractions import Fraction
 from . import constructions, jsonio
 from .constructions import (
     CONSTRUCTIONS,
-    METHODS,
     FrameCertificate,
+    METHODS,
     associated_matrix,
     certificate_from_json,
     certificate_to_json,
