@@ -40,13 +40,11 @@ from .constructions import (
 )
 from .domains import (
     ExponentSystem,
-    IntegerIntervalUnion,
-    RationalIntervalUnion,
     as_fraction,
     lcd,
-    normalize_to_integer_grid,
     rescale_system,
     residues_distinct,
+    validated_intervals,
 )
 from .errors import (
     AngleConditionError,
@@ -93,14 +91,8 @@ from .vandermonde import (
     NodeMatrix,
     build_gamma,
     coherence,
-    matrix_from_bytes,
-    matrix_from_json,
-    matrix_to_bytes,
-    matrix_to_json,
-    nodes_of_union,
     progression_matrix,
     sin_ratio,
-    wrap_distance,
 )
 
 __version__ = "0.1.0"

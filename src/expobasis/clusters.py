@@ -187,7 +187,9 @@ def principal_angle_check(partition: ClusterPartition) -> float:
     cross-Gram singular value over all cluster pairs.  With a single cluster
     the constraint is empty and pi/2 is returned.
     """
-    matrix = progression_matrix(partition.nodes, partition.spacing, partition.length)
+    if partition.length != len(partition.nodes):
+        raise PreconditionError("principal angles need a square node matrix: length == len(nodes)")
+    matrix = progression_matrix(partition.nodes, partition.spacing)
     bases = []
     for cluster in partition.clusters:
         block = matrix.entries[:, list(cluster)]

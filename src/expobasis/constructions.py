@@ -22,15 +22,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .clusters import ClusterPartition, partition_by_coherence
+from .clusters import partition_by_coherence
 from .domains import (
     ExponentSystem,
-    RationalIntervalUnion,
+    Interval,
     as_fraction,
     fraction_from_json,
     fraction_to_json,
     lcd,
     residues_distinct,
+    validated_intervals,
 )
 from .errors import (
     ClusterSizeError,
@@ -46,7 +47,7 @@ from .errors import (
     VerificationError,
 )
 from .spectral import is_singular
-from .vandermonde import NodeMatrix, build_gamma, sin_ratio
+from .vandermonde import NodeMatrix, _wrap_value, build_gamma, sin_ratio
 
 __all__ = [
     "BetaSolution",
@@ -163,16 +164,15 @@ def shifted_sine_ratio_increasing(n: int, u: float, grid: int = 10_000) -> bool:
 
 # --- certificates ---------------------------------------------------------
 
-Interval = tuple[Fraction, Fraction]
-
-
 @dataclass(frozen=True)
 class FrameCertificate:
     """Certified Riesz bounds A <= ||sum a_j v_j||^2 / sum |a_j|^2 <= B.
 
     ``params`` keeps the construction inputs (rationals as ``Fraction``) for
     the record; verification reads only ``system`` and
-    ``domain_intervals``.  ``flags`` records conventions and vacuity warnings.
+    ``domain_intervals``.  The domain is stored as ``validated_intervals``
+    returns it, so every certificate, built or read, obeys one domain rule.
+    ``flags`` records conventions and vacuity warnings.
     """
 
     method: str
@@ -188,6 +188,7 @@ class FrameCertificate:
             raise PreconditionError(f"unknown method {self.method!r}")
         if not (math.isfinite(self.A) and math.isfinite(self.B)) or self.A > self.B:
             raise PreconditionError(f"invalid constants A={self.A}, B={self.B}")
+        object.__setattr__(self, "domain_intervals", validated_intervals(self.domain_intervals))
 
     @property
     def vacuous(self) -> bool:
@@ -269,7 +270,6 @@ def construct_perturbed_union(s: int, a: Sequence[int], eps: Sequence, delta) ->
         raise DeltaWindowError(
             f"|delta| = {float(abs(delta))} outside [{float(lo)}, {hi}] for (s={s}, N={n}, m={m})"
         )
-    domain = RationalIntervalUnion([a_j + e_j for a_j, e_j in zip(a, eps)])
     big_m = s * n
     ratio = math.sin(math.pi / (2 * n * m)) / math.sin(math.pi / (2 * s * n * n * m))
     envelope = big_m * math.sin(1.0 / big_m)
@@ -281,7 +281,7 @@ def construct_perturbed_union(s: int, a: Sequence[int], eps: Sequence, delta) ->
         A=A,
         B=B,
         system=system,
-        domain_intervals=domain.intervals,
+        domain_intervals=tuple((a_j + e_j, a_j + e_j + 1) for a_j, e_j in zip(a, eps)),
         params={
             "s": s,
             "a": list(a),
@@ -306,14 +306,9 @@ def threshold_u(n: int, m: int) -> float:
     return (n / math.pi) * math.acos(v * math.cos(math.pi / (2 * n))) - 0.5
 
 
-def _wrap_frac(x: Fraction) -> Fraction:
-    r = x - (x.numerator // x.denominator)
-    return min(r, 1 - r)
-
-
 def separation_margin(d: int, n: int, m: int) -> Fraction:
     """Exact wrap-metric margin |d/n|_T - |d m / n|_T for a node difference d."""
-    return _wrap_frac(Fraction(d, n)) - _wrap_frac(Fraction(d * m, n))
+    return _wrap_value(Fraction(d, n)) - _wrap_value(Fraction(d * m, n))
 
 
 def _parity_cos(n: int, u: int) -> float:
@@ -374,13 +369,7 @@ def certify_lattice_subset(n: int, m: int, a: Sequence[int], u: int) -> FrameCer
     )
 
 
-def certify_lattice_subset_paired(
-    n: int,
-    m: int,
-    a: Sequence[int],
-    u: int,
-    partition: ClusterPartition | None = None,
-) -> FrameCertificate:
+def certify_lattice_subset_paired(n: int, m: int, a: Sequence[int], u: int) -> FrameCertificate:
     """Paired variant: clusters of <= 2 endpoints may violate the separation.
 
     Cross-cluster pairs must still satisfy it; alpha is the largest
@@ -389,8 +378,7 @@ def certify_lattice_subset_paired(
     """
     _check_lattice_subset_params(n, m, u)
     a = _validated_subset(n, m, a)
-    if partition is None:
-        partition = partition_by_coherence(a, Fraction(1, n), m)
+    partition = partition_by_coherence(a, Fraction(1, n), m)
     if partition.max_cluster_size > 2:
         raise ClusterSizeError(
             f"paired certificate needs clusters of size <= 2, found {partition.max_cluster_size}"
@@ -503,19 +491,11 @@ def residue_orthogonal_basis(s: int, a: Sequence[int]) -> FrameCertificate:
 # --- complements ----------------------------------------------------------
 
 def _complement_intervals(delta: Fraction, pieces: Sequence[Interval]) -> tuple[Interval, ...]:
-    out = []
-    cursor = Fraction(0)
-    for lo, hi in sorted(pieces):
-        if lo < cursor:
-            raise PreconditionError("domain intervals overlap")
-        if hi > delta:
-            raise PreconditionError(f"domain escapes [0, {delta})")
-        if lo > cursor:
-            out.append((cursor, lo))
-        cursor = hi
-    if cursor < delta:
-        out.append((cursor, delta))
-    return tuple(out)
+    """The gaps of a sorted, disjoint domain inside [0, delta)."""
+    if pieces[0][0] < 0 or pieces[-1][1] > delta:
+        raise PreconditionError(f"domain escapes [0, {delta})")
+    cuts = [Fraction(0)] + [x for piece in pieces for x in piece] + [delta]
+    return tuple((lo, hi) for lo, hi in zip(cuts[::2], cuts[1::2]) if lo < hi)
 
 
 def complement_certificate(delta_total, cert: FrameCertificate) -> FrameCertificate:
@@ -569,6 +549,14 @@ def complement_certificate(delta_total, cert: FrameCertificate) -> FrameCertific
 
 # --- matrices for verification -------------------------------------------
 
+#: Rows of the largest node matrix route 1 builds.  A read certificate's
+#: common denominator D is otherwise unbounded, and Gamma is D*branches
+#: square in complex128: a denominator of 1e5 would ask for 160 GB.  2048
+#: rows is 64 MiB, far above the 96 rows of the largest matrix that the
+#: tests, the benchmark workloads and perfbench/ladder.py build.
+MAX_NODE_ROWS = 2048
+
+
 def associated_matrix(cert: FrameCertificate) -> tuple[NodeMatrix, float] | None:
     """The node matrix of the certificate's own system on its own domain.
 
@@ -576,13 +564,18 @@ def associated_matrix(cert: FrameCertificate) -> tuple[NodeMatrix, float] | None
     over c, the nodes are the integers in D/c times the domain and the
     branches are (r + phi_j)/D for 0 <= r < D.  Returns (matrix, D/c), whose
     soundness contract is ``scale*A <= sigma^2 <= scale*B``, or None when the
-    matrix would not be square.
+    matrix would not be square.  A matrix of more than ``MAX_NODE_ROWS`` rows
+    is refused before any node is built.
     """
     c = cert.system.domain_scale
     pieces = [(lo / c, hi / c) for lo, hi in cert.domain_intervals]
     if sum(hi - lo for lo, hi in pieces) != cert.system.branches:
         return None
     d = lcd([x for piece in pieces for x in piece])
+    if d * cert.system.branches > MAX_NODE_ROWS:
+        raise PreconditionError(
+            f"node matrix too large: {d} (common denominator) x {cert.system.branches} "
+            f"(branches) rows > MAX_NODE_ROWS = {MAX_NODE_ROWS}")
     nodes = [p for lo, hi in pieces for p in range(int(lo * d), int(hi * d))]
     branches = [(r + phi) / d for phi in cert.system.branch_offsets for r in range(d)]
     return build_gamma(branches, nodes), float(d / c)

@@ -1,10 +1,12 @@
-"""Domains (finite unions of unit intervals) and exponent systems.
+"""Domains and exponent systems, in exact rationals.
 
-All interval endpoints and branch offsets are exact rationals
-(`fractions.Fraction`; a float converts exactly on entry), so dilating a union
-onto its integer grid and reducing phases mod 1 are exact operations.
-A union is stored by the left endpoints of its unit-length intervals:
-``{e_j}`` represents ``U_j [e_j, e_j + 1)``.
+A domain is a sorted tuple of disjoint, non-empty intervals ``(start, end)``
+with ``fractions.Fraction`` endpoints; touching intervals are allowed.
+``validated_intervals`` is the one rule that builds and checks that tuple,
+and ``FrameCertificate`` applies it to every certificate, however it was
+made.  Branch offsets and domain scales are exact too (a float converts
+exactly on entry), so truncated frequencies are exact rationals and phases
+reduce mod 1 without rounding.
 """
 
 from __future__ import annotations
@@ -17,18 +19,19 @@ from typing import Iterable, Sequence
 from .errors import OverlapError, PreconditionError
 
 RationalLike = int | Fraction
+Interval = tuple[Fraction, Fraction]
 
 __all__ = [
-    "RationalIntervalUnion",
-    "IntegerIntervalUnion",
     "ExponentSystem",
+    "Interval",
     "as_fraction",
+    "finite_float",
     "fraction_to_json",
     "fraction_from_json",
     "lcd",
-    "normalize_to_integer_grid",
     "rescale_system",
     "residues_distinct",
+    "validated_intervals",
 ]
 
 
@@ -41,6 +44,14 @@ def as_fraction(x: int | float | Fraction | str) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
+
+
+def finite_float(x: Fraction, what: str) -> float:
+    """float(x), or a PreconditionError naming ``what`` when x is beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise PreconditionError(f"{what} is beyond the float range") from None
 
 
 def fraction_to_json(x: Fraction) -> dict:
@@ -60,85 +71,25 @@ def fraction_from_json(obj: dict) -> Fraction:
     return Fraction(obj["num"], obj["den"])
 
 
-def _validated_endpoints(endpoints: Sequence[Fraction], min_gap) -> tuple:
-    if not endpoints:
-        raise PreconditionError("a union needs at least one interval")
-    for a, b in zip(endpoints, endpoints[1:]):
-        if b - a < min_gap:
-            raise OverlapError(
-                f"interval at {b} overlaps the one at {a} (gap {b - a} < {min_gap})"
-            )
-    return tuple(endpoints)
+def validated_intervals(pairs: Iterable) -> tuple[Interval, ...]:
+    """The one domain rule: ``(start, end)`` pairs as a sorted tuple of exact intervals.
 
-
-@dataclass(frozen=True)
-class RationalIntervalUnion:
-    """Disjoint union of unit-length intervals with rational left endpoints."""
-
-    left_endpoints: tuple[Fraction, ...]
-    label: str | None = None
-
-    def __init__(self, left_endpoints: Iterable, label: str | None = None):
-        eps = [as_fraction(e) for e in left_endpoints]
-        object.__setattr__(self, "left_endpoints", _validated_endpoints(eps, 1))
-        object.__setattr__(self, "label", label)
-
-    @property
-    def measure(self) -> int:
-        return len(self.left_endpoints)
-
-    @property
-    def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return tuple((e, e + 1) for e in self.left_endpoints)
-
-    @property
-    def is_canonical(self) -> bool:
-        return self.left_endpoints[0] == 0
-
-    def canonicalize(self) -> tuple["RationalIntervalUnion", Fraction]:
-        """Translate so the first endpoint is 0; returns (union, shift applied)."""
-        v = -self.left_endpoints[0]
-        if v == 0:
-            return self, Fraction(0)
-        return RationalIntervalUnion([e + v for e in self.left_endpoints], self.label), v
-
-    def translate(self, v) -> "RationalIntervalUnion":
-        v = as_fraction(v)
-        return RationalIntervalUnion([e + v for e in self.left_endpoints], self.label)
-
-    def to_json(self) -> dict:
-        doc = {"endpoints": [fraction_to_json(e) for e in self.left_endpoints]}
-        if self.label is not None:
-            doc["label"] = self.label
-        return doc
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "RationalIntervalUnion":
-        return cls(
-            [fraction_from_json(e) for e in doc["endpoints"]],
-            label=doc.get("label"),
-        )
-
-
-@dataclass(frozen=True)
-class IntegerIntervalUnion:
-    """Union of blocks ``[e_j, e_j + N)`` of integers — a unit union dilated by N."""
-
-    left_endpoints: tuple[int, ...]
-    scale: int = 1
-
-    def __post_init__(self):
-        if self.scale < 1 or int(self.scale) != self.scale:
-            raise PreconditionError(f"scale must be a positive integer, got {self.scale}")
-        object.__setattr__(self, "scale", int(self.scale))
-        eps = tuple(int(e) for e in self.left_endpoints)
-        if eps and eps[0] < 0:
-            raise PreconditionError("integer unions are canonical: endpoints must be >= 0")
-        object.__setattr__(self, "left_endpoints", _validated_endpoints(eps, self.scale))
-
-    @property
-    def nodes(self) -> tuple[int, ...]:
-        return tuple(e + r for e in self.left_endpoints for r in range(self.scale))
+    Refused with a named error: no interval at all, an empty or reversed
+    interval, an overlap (``OverlapError``), and a length that does not
+    convert to a finite float, since the Gram form integrates over float
+    lengths.  Endpoints themselves may be arbitrarily large.
+    """
+    out = sorted((as_fraction(lo), as_fraction(hi)) for lo, hi in pairs)
+    if not out:
+        raise PreconditionError("a domain needs at least one interval")
+    for lo, hi in out:
+        if hi <= lo:
+            raise PreconditionError(f"empty interval [{lo}, {hi})")
+        finite_float(hi - lo, "an interval length")
+    for (lo, hi), (nxt, _) in zip(out, out[1:]):
+        if nxt < hi:
+            raise OverlapError(f"interval [{lo}, {hi}) overlaps the one starting at {nxt}")
+    return tuple(out)
 
 
 def lcd(values: Iterable[RationalLike | float]) -> int:
@@ -147,23 +98,6 @@ def lcd(values: Iterable[RationalLike | float]) -> int:
     if not fracs:
         raise PreconditionError("lcd of an empty collection")
     return lcm(*(f.denominator for f in fracs))
-
-
-def normalize_to_integer_grid(union: RationalIntervalUnion) -> IntegerIntervalUnion:
-    """Dilate a rational union by the least common denominator of its endpoints.
-
-    The result has integer endpoints and carries the dilation factor as
-    ``scale``; applying it to an already-integer union is the identity
-    (scale 1).
-    """
-    n = lcd(union.left_endpoints)
-    scaled = [e * n for e in union.left_endpoints]
-    assert all(s.denominator == 1 for s in scaled)
-    if scaled and scaled[0] < 0:
-        raise PreconditionError(
-            "union is not in canonical position (first endpoint < 0); canonicalize first"
-        )
-    return IntegerIntervalUnion(tuple(int(s) for s in scaled), scale=n)
 
 
 def residues_distinct(endpoints: Sequence[int], modulus: int) -> bool:
@@ -211,13 +145,13 @@ class ExponentSystem:
     def branches(self) -> int:
         return len(self.branch_offsets)
 
-    def frequencies(self, n_max: int) -> list[float]:
-        """Truncated frequency list: branch-major, n from -n_max to n_max."""
+    def frequencies(self, n_max: int) -> list[Fraction]:
+        """Exact truncated frequency list: branch-major, n from -n_max to n_max."""
         if n_max < 0:
             raise PreconditionError(f"n_max must be >= 0, got {n_max}")
-        # (n + p/q) / (a/b) = (n q + p) b / (q a): one rounding, in int / int
+        # (n + p/q) / (a/b) = (n q + p) b / (q a)
         a, b = self.domain_scale.numerator, self.domain_scale.denominator
-        return [(n * phi.denominator + phi.numerator) * b / (phi.denominator * a)
+        return [Fraction((n * phi.denominator + phi.numerator) * b, phi.denominator * a)
                 for phi in self.branch_offsets for n in range(-n_max, n_max + 1)]
 
     def to_json(self) -> dict:

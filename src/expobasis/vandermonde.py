@@ -1,4 +1,4 @@
-"""Node matrices for exponent systems on integer interval unions.
+"""Node matrices, the wrap-around distance, the sine ratio and coherence.
 
 A system with branch offsets ``{delta_j}`` on a union with integer nodes
 ``{p_k}`` is a Riesz basis exactly when the square matrix
@@ -14,25 +14,20 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .domains import IntegerIntervalUnion, as_fraction
+from .domains import as_fraction, finite_float
 from .errors import PreconditionError
 
 __all__ = [
     "NodeMatrix",
-    "nodes_of_union",
     "build_gamma",
     "progression_matrix",
-    "wrap_distance",
     "sin_ratio",
     "coherence",
-    "matrix_to_json",
-    "matrix_from_json",
-    "matrix_to_bytes",
-    "matrix_from_bytes",
 ]
 
 TWO_PI_I = 1j * (2.0 * math.pi)
@@ -52,14 +47,6 @@ class NodeMatrix:
     @property
     def size(self) -> int:
         return len(self.nodes)
-
-
-def nodes_of_union(union: IntegerIntervalUnion) -> tuple[int, ...]:
-    """All integers covered by the union's blocks, ascending."""
-    nodes = union.nodes
-    if len(set(nodes)) != len(nodes):
-        raise PreconditionError("blocks overlap: duplicate integer nodes")
-    return nodes
 
 
 def build_gamma(deltas: Sequence, nodes: Sequence[int]) -> NodeMatrix:
@@ -84,30 +71,21 @@ def build_gamma(deltas: Sequence, nodes: Sequence[int]) -> NodeMatrix:
     return NodeMatrix(
         entries=entries,
         nodes=tuple(ordered),
-        deltas=tuple(float(d) for d in deltas),
+        deltas=tuple(finite_float(d, "an offset") for d in deltas),
     )
 
 
-def progression_matrix(nodes: Sequence[int], spacing, size: int | None = None) -> NodeMatrix:
-    """Gamma for the uniform offsets delta_j = j * spacing, j = 0..L-1."""
-    L = len(nodes) if size is None else size
-    if L != len(nodes):
-        raise PreconditionError("progression matrix must be square: size == len(nodes)")
+def progression_matrix(nodes: Sequence[int], spacing) -> NodeMatrix:
+    """Gamma for the uniform offsets delta_j = j * spacing, j = 0..L-1, L = len(nodes)."""
     spacing = as_fraction(spacing)
-    return build_gamma([j * spacing for j in range(L)], nodes)
+    return build_gamma([j * spacing for j in range(len(nodes))], nodes)
 
 
-def wrap_distance(t: float, s: float = 0.0) -> float:
-    """Distance on the unit circle: min_n |t - s - n|, in [0, 1/2]."""
-    r = abs(math.fmod(t - s, 1.0))
-    return min(r, 1.0 - r)
-
-
-def _wrap_value(x) -> float:
-    """Wrap representative in [0, 1/2], reduced exactly."""
+def _wrap_value(x) -> Fraction:
+    """Exact distance from x to the nearest integer, in [0, 1/2]."""
     f = as_fraction(x)
     r = f - (f.numerator // f.denominator)
-    return float(min(r, 1 - r))
+    return min(r, 1 - r)
 
 
 def sin_ratio(m: int, x) -> float:
@@ -117,7 +95,7 @@ def sin_ratio(m: int, x) -> float:
     """
     if m < 1:
         raise PreconditionError(f"m must be >= 1, got {m}")
-    r = _wrap_value(x)
+    r = float(_wrap_value(x))
     if r == 0.0:
         return float(m)
     # the true ratio never exceeds m; min() trims float overshoot (the raw
@@ -133,44 +111,3 @@ def coherence(node_a: int, node_b: int, spacing, length: int) -> float:
     if node_a == node_b:
         raise PreconditionError("coherence needs two distinct nodes")
     return sin_ratio(length, (node_a - node_b) * as_fraction(spacing))
-
-
-# --- serialization -------------------------------------------------------
-
-def matrix_to_json(m: NodeMatrix) -> dict:
-    return {
-        "rows": m.size,
-        "cols": m.size,
-        "nodes": list(m.nodes),
-        "deltas": list(m.deltas),
-        "re": m.entries.real.tolist(),
-        "im": m.entries.imag.tolist(),
-    }
-
-
-def matrix_from_json(doc: dict) -> NodeMatrix:
-    entries = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise PreconditionError("matrix JSON must describe a square matrix")
-    nodes = tuple(int(n) for n in doc.get("nodes", range(entries.shape[0])))
-    deltas = tuple(float(d) for d in doc.get("deltas", [0.0] * entries.shape[0]))
-    return NodeMatrix(entries.astype(np.complex128), nodes, deltas)
-
-
-def matrix_to_bytes(m: NodeMatrix) -> bytes:
-    """Row-major interleaved float64 re/im pairs, little-endian, no header."""
-    inter = np.empty((m.size, m.size, 2), dtype="<f8")
-    inter[..., 0] = m.entries.real
-    inter[..., 1] = m.entries.imag
-    return inter.tobytes()
-
-
-def matrix_from_bytes(buf: bytes) -> np.ndarray:
-    n_values = len(buf) // 8
-    if len(buf) % 16:
-        raise PreconditionError("byte length is not a whole number of complex entries")
-    L = math.isqrt(n_values // 2)
-    if 2 * L * L != n_values:
-        raise PreconditionError("byte length is not a square matrix")
-    flat = np.frombuffer(buf, dtype="<f8").reshape(L, L, 2)
-    return (flat[..., 0] + 1j * flat[..., 1]).astype(np.complex128)

@@ -3,9 +3,12 @@
 Everything here deliberately avoids the singular-value oracle's machinery so
 that certificates are checked by two unrelated routes: exact closed-form Gram
 matrices probed with random coefficients, and (where a node matrix exists) the
-Jacobi spectrum.  Sampling is deterministic: trial ``t`` draws from
-``PCG64(seed + t)``, and min/max aggregation makes the result independent of
-trial order.
+Jacobi spectrum.  Every domain argument goes through ``validated_intervals``,
+the rule each certificate already obeys.  Gram phases are reduced mod 1 in
+exact arithmetic, from the exact frequencies of ``ExponentSystem``, so large
+endpoints or frequencies cost no accuracy.  Sampling is deterministic: trial
+``t`` draws from ``PCG64(seed + t)``, and min/max aggregation makes the result
+independent of trial order.
 """
 
 from __future__ import annotations
@@ -18,7 +21,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constructions import FrameCertificate, associated_matrix
-from .domains import ExponentSystem, RationalIntervalUnion, as_fraction
+from .domains import (
+    ExponentSystem,
+    Interval,
+    as_fraction,
+    finite_float,
+    lcd,
+    validated_intervals,
+)
 from .errors import PreconditionError, RegressionFailure, VerificationError
 from .spectral import SingularSpectrum, singular_values
 from .vandermonde import build_gamma, progression_matrix
@@ -43,26 +53,6 @@ __all__ = [
 DEFAULT_SEED = 42
 
 
-Interval = tuple[Fraction, Fraction]
-
-
-def _interval_list(u) -> tuple[Interval, ...]:
-    """Accept a RationalIntervalUnion or an explicit (start, end) list."""
-    if isinstance(u, RationalIntervalUnion):
-        return u.intervals
-    out = []
-    for lo, hi in u:
-        lo, hi = as_fraction(lo), as_fraction(hi)
-        if hi <= lo:
-            raise PreconditionError(f"empty interval [{lo}, {hi})")
-        out.append((lo, hi))
-    out.sort()
-    for (_, hi), (lo, _) in zip(out, out[1:]):
-        if lo < hi:
-            raise PreconditionError("intervals overlap")
-    return tuple(out)
-
-
 # --- Gram forms -------------------------------------------------------------
 
 def gram_entry(lam: float, mu: float, u) -> complex:
@@ -72,7 +62,7 @@ def gram_entry(lam: float, mu: float, u) -> complex:
     the centered form has no cancellation at small nu (the endpoint-difference
     form loses ~1e-16/nu absolute accuracy there).
     """
-    intervals = _interval_list(u)
+    intervals = validated_intervals(u)
     nu = float(lam) - float(mu)
     total = 0j
     for lo, hi in intervals:
@@ -85,7 +75,7 @@ def gram_entry(lam: float, mu: float, u) -> complex:
 def _merged_runs(u) -> list[Interval]:
     """The union's intervals, ascending, with touching ones joined exactly."""
     runs: list[list[Fraction]] = []
-    for lo, hi in _interval_list(u):  # sorted and disjoint
+    for lo, hi in validated_intervals(u):  # sorted and disjoint
         if runs and lo == runs[-1][1]:
             runs[-1][1] = hi
         else:
@@ -96,7 +86,7 @@ def _merged_runs(u) -> list[Interval]:
 _GRAM_ROWS = 64  # rows per block: a 64 x size block of temporaries stays in cache
 
 
-def gram_matrix(frequencies: Sequence[float], u) -> np.ndarray:
+def gram_matrix(frequencies: Sequence, u) -> np.ndarray:
     """Hermitian matrix of pairwise gram_entry values, built per run length.
 
     Touching intervals are first merged into runs (exact endpoints), so a
@@ -107,16 +97,27 @@ def gram_matrix(frequencies: Sequence[float], u) -> np.ndarray:
     size x K.  The transcendental work is size^2 per distinct run length plus
     size * K exponentials; the phase sum is one matrix product.  Rows are
     filled a block at a time, so the temporaries stay a block in size.
+
+    Frequencies are read exactly (pass ``ExponentSystem.frequencies``; a
+    float converts exactly).  Over common denominators, f = F/Q and m = M/P,
+    so the phase ``f m mod 1 = (F M mod QP) / QP`` is reduced in integers and
+    rounded once, however large f or m is.
     """
-    f = np.asarray([float(x) for x in frequencies], dtype=float)
-    midpoints: dict[Fraction, list[float]] = {}
+    exact = [as_fraction(x) for x in frequencies]
+    f = np.asarray([finite_float(x, "a frequency") for x in exact], dtype=float)
+    q = lcd(exact)
+    nums = [x.numerator * (q // x.denominator) for x in exact]
+    midpoints: dict[Fraction, list[Fraction]] = {}
     for lo, hi in _merged_runs(u):
-        midpoints.setdefault(hi - lo, []).append(float((lo + hi) / 2))
+        midpoints.setdefault(hi - lo, []).append((lo + hi) / 2)
     phases = []
     for length, mids in midpoints.items():
-        cycles = np.outer(f, mids)
-        w = np.exp(2j * np.pi * (cycles - np.round(cycles)))  # whole cycles drop exactly
-        phases.append((float(length), w))
+        p = lcd(mids)
+        mod = q * p
+        cols = [m.numerator * (p // m.denominator) % mod for m in mids]
+        turns = np.fromiter((a * b % mod / mod for a in nums for b in cols), float,
+                            len(nums) * len(cols)).reshape(len(nums), len(cols))
+        phases.append((float(length), np.exp(2j * np.pi * turns)))
     g = np.empty((f.size, f.size), dtype=complex)
     for start in range(0, f.size, _GRAM_ROWS):
         rows = slice(start, start + _GRAM_ROWS)
@@ -132,7 +133,7 @@ def gram_matrix(frequencies: Sequence[float], u) -> np.ndarray:
 class GramForm:
     """Finite-section quadratic form ||sum a_l e_{lambda_l}||^2 over a domain."""
 
-    frequencies: tuple[float, ...]
+    frequencies: tuple[Fraction, ...]
     gram: np.ndarray
 
     @classmethod
@@ -238,7 +239,7 @@ def intervals_contained(sub, sup) -> bool:
     runs = _merged_runs(sup)
     return all(
         any(rlo <= lo and hi <= rhi for rlo, rhi in runs)
-        for lo, hi in _interval_list(sub)
+        for lo, hi in validated_intervals(sub)
     )
 
 
@@ -259,7 +260,7 @@ def bessel_restriction_sample(
     """
     if not intervals_contained(sub, domain):
         raise PreconditionError("restriction domain is not contained in the host domain")
-    pieces = _interval_list(sub)
+    pieces = validated_intervals(sub)
     freqs = np.asarray(system.frequencies(n_max), dtype=float)
     bandwidth = (n_max - 1) / float(system.domain_scale)
     nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
@@ -357,7 +358,7 @@ def verify_certificate(
     certificate's system on its domain has a square node matrix): every
     oracle sigma^2 must lie between ``scale`` times those bounds, each one
     outside is reported in index order, and a certificate with A > 0 must
-    not be numerically singular.  Route 2:
+    not be numerically singular (reported once, as its last index).  Route 2:
     sampled Gram ratios of the (unscaled) system over the certified domain
     must lie between the bounds themselves.
     """
@@ -381,7 +382,8 @@ def verify_certificate(
                 "route": "oracle", "index": j, "side": side,
                 "value": s2, "bound": bound,
             })
-        if cert.A > 0.0 and oracle.is_singular:
+        if cert.A > 0.0 and oracle.is_singular and squares[-1] >= scale * lower:
+            # singular, yet sigma_min^2 cleared the widened bound above
             violations.append({
                 "route": "oracle", "index": int(len(oracle.values) - 1),
                 "side": "lower", "value": oracle.sigma_min ** 2,

@@ -17,7 +17,6 @@ from conftest import record_acceptance
 from expobasis import (
     GramForm,
     RankDeficientError,
-    RationalIntervalUnion,
     adaptive_simpson,
     associated_matrix,
     certify_lattice_subset,
@@ -26,7 +25,6 @@ from expobasis import (
     construct_perturbed_union,
     delta_window_perturbed_union,
     gram_entry,
-    normalize_to_integer_grid,
     optimal_frame_constants,
     partition_by_coherence,
     principal_angle_check,
@@ -56,7 +54,7 @@ def test_criterion_1_orthogonal_pair_and_singular_perturbations():
     ratios = []
     for n in range(2, 9):
         nodes = list(range(n)) + list(range(3 * n - 1, 4 * n - 1))
-        spec = singular_values(progression_matrix(nodes, Fraction(1, 2 * n), 2 * n))
+        spec = singular_values(progression_matrix(nodes, Fraction(1, 2 * n)))
         ratios.append(spec.sigma_min / spec.sigma_max)
     singular_ok = all(r < 1e-10 for r in ratios)
     elapsed = time.perf_counter() - start
@@ -254,8 +252,7 @@ def _sandwich_instance_stream(rng):
         else:
             s, n = cells[(toggle // 2) % 3]
             a, eps, delta = _draw_perturbed_instance(rng, s, n)
-            union = RationalIntervalUnion([a_j + e_j for a_j, e_j in zip(a, eps)])
-            yield (list(normalize_to_integer_grid(union).nodes),
+            yield ([int((a_j + e_j) * n) + r for a_j, e_j in zip(a, eps) for r in range(n)],
                    float(Fraction(1, s * n) + delta))
 
 
@@ -287,7 +284,7 @@ def test_criterion_8_cluster_sandwich_on_random_instances():
         tilde = sorted(
             (v for i in range(len(part.clusters)) for v in cluster_spectrum(part, i)),
             reverse=True)
-        sigmas = singular_values(progression_matrix(nodes, spacing, length)).values
+        sigmas = singular_values(progression_matrix(nodes, spacing)).values
         low = math.sqrt(1.0 - length * alpha)
         high = math.sqrt(1.0 + length * alpha)
         for t, sv in zip(tilde, sigmas):

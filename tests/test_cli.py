@@ -286,6 +286,45 @@ def test_output_file_matches_stdout_payload(run, tmp_path):
     assert target.read_text() == stdout_text
 
 
+def _one_branch_document(run, intervals):
+    _, text, _ = run(["certify", "residue-orthogonal", "--s", "1", "--a", "0"])
+    doc = json.loads(text)
+    doc["domain"]["intervals"] = [
+        {"start": {"num": Fraction(lo).numerator, "den": Fraction(lo).denominator},
+         "end": {"num": Fraction(hi).numerator, "den": Fraction(hi).denominator}}
+        for lo, hi in intervals]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("intervals, error", [
+    ([(0, 0), (0, 1)], "PreconditionError"),
+    ([(1, 0)], "PreconditionError"),
+    ([(0, 1), (Fraction(1, 2), Fraction(3, 2))], "OverlapError"),
+], ids=["empty_interval", "reversed_interval", "overlap"])
+def test_every_subcommand_applies_the_domain_rule(run, intervals, error):
+    text = _one_branch_document(run, intervals)
+    for sub in ("oracle", "verify", "report"):
+        code, out, err = run([sub, "--input", text])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error [{error}]")
+
+
+def test_oversized_node_matrix_is_refused_before_it_is_built(run):
+    # one branch on [1/D, 1 + 1/D) has a D x D node matrix: 67 MB at D = 2053
+    import tracemalloc
+    text = _one_branch_document(run, [(Fraction(1, 2053), Fraction(2054, 2053))])
+    for sub in ("oracle", "verify"):
+        tracemalloc.start()
+        try:
+            code, out, err = run([sub, "--input", text])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert "MAX_NODE_ROWS" in err
+        assert peak < 4 * 2**20
+
+
 # --- fuzzed certificate documents ----------------------------------------------------
 
 def _base_documents():
@@ -319,7 +358,7 @@ def _paths(node, prefix=()):
             yield from _paths(child, path)
 
 
-_INTS = st.integers(-64, 64)
+_INTS = st.one_of(st.integers(-64, 64), st.sampled_from([10**400, -10**400]))
 _LEAVES = st.one_of(
     _INTS, st.booleans(), st.none(), st.text(max_size=3),
     st.floats(-64, 64, allow_nan=False, allow_infinity=False),

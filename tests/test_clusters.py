@@ -107,7 +107,7 @@ def test_all_singleton_sandwich_is_tight():
     sw = sandwich(part)
     np.testing.assert_allclose(sw.lower, [math.sqrt(5)] * 5, atol=1e-9)
     np.testing.assert_allclose(sw.upper, [math.sqrt(5)] * 5, atol=1e-9)
-    spec = singular_values(progression_matrix(range(5), Fraction(1, 5), 5))
+    spec = singular_values(progression_matrix(range(5), Fraction(1, 5)))
     assert sw.contains(spec.values, tol=1e-9)
 
 
@@ -117,7 +117,7 @@ def test_sandwich_contains_oracle_on_mildly_coupled_block():
     node_sets = {frozenset(part.nodes[i] for i in c) for c in part.clusters}
     assert node_sets == {frozenset({0, 2}), frozenset({1})}
     sw = sandwich(part)
-    spec = singular_values(progression_matrix([0, 1, 2], spacing, 3))
+    spec = singular_values(progression_matrix([0, 1, 2], spacing))
     assert sw.contains(spec.values, tol=1e-8)
     assert len(sw.lower) == len(sw.upper) == 3
 
@@ -148,7 +148,7 @@ def test_pairwise_alpha_can_understate_subspace_overlap():
     assert 6 * part.alpha == pytest.approx(0.2939937813308142, abs=1e-12)
 
     sw = sandwich(part)
-    spec = singular_values(progression_matrix(nodes, spacing, 6))
+    spec = singular_values(progression_matrix(nodes, spacing))
     assert spec.sigma_min == pytest.approx(0.045713247744494624, abs=1e-12)
     assert sw.lower[-1] == pytest.approx(0.1404553969710265, abs=1e-12)
     assert not sw.contains(spec.values, tol=1e-8)

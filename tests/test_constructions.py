@@ -15,7 +15,6 @@ from expobasis import (
     FrameCertificate,
     LatticeError,
     PreconditionError,
-    RationalIntervalUnion,
     ResidueClashError,
     SeparationError,
     ThresholdError,
@@ -28,7 +27,6 @@ from expobasis import (
     construct_perturbed_union,
     delta_window_interval_removal,
     delta_window_perturbed_union,
-    normalize_to_integer_grid,
     optimal_frame_constants,
     progression_matrix,
     residue_orthogonal_basis,
@@ -480,8 +478,7 @@ def test_complement_preconditions():
 # --- node matrices on the unit grid ----------------------------------------------------------
 
 def _perturbed_union_progression(s, a, delta):
-    nodes = normalize_to_integer_grid(RationalIntervalUnion(a)).nodes
-    return progression_matrix(nodes, Fraction(1, s) + delta)
+    return progression_matrix(a, Fraction(1, s) + delta)  # integer endpoints: D = 1
 
 
 @pytest.mark.parametrize("build, expected", [
@@ -490,11 +487,11 @@ def _perturbed_union_progression(s, a, delta):
     (lambda: construct_interval_removal(5, 1, Fraction(1, 25)),
      lambda: progression_matrix([0, 2, 3, 4], Fraction(1, 4) - Fraction(1, 25))),
     (lambda: certify_lattice_subset(10, 3, [0, 3, 7], 1),
-     lambda: progression_matrix([0, 3, 7], Fraction(1, 10), 3)),
+     lambda: progression_matrix([0, 3, 7], Fraction(1, 10))),
     (lambda: certify_lattice_subset_paired(16, 4, [0, 1, 8, 9], 1),
-     lambda: progression_matrix([0, 1, 8, 9], Fraction(1, 16), 4)),
+     lambda: progression_matrix([0, 1, 8, 9], Fraction(1, 16))),
     (lambda: residue_orthogonal_basis(3, [0, 4, 8]),
-     lambda: progression_matrix([0, 4, 8], Fraction(1, 3), 3)),
+     lambda: progression_matrix([0, 4, 8], Fraction(1, 3))),
     (lambda: construct_perturbed_union(2, [0, 3], [Fraction(0), Fraction(0)], 0.05),
      lambda: _perturbed_union_progression(2, [0, 3], 0.05)),
     (lambda: construct_perturbed_union(3, [0, 4, 8], [Fraction(0)] * 3, Fraction(-1, 120)),

@@ -1,21 +1,24 @@
-"""Interval unions, integer normalization, and exponent systems."""
+"""The domain rule, grid dilation, and exponent systems."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from expobasis import (
     ExponentSystem,
-    IntegerIntervalUnion,
+    FrameCertificate,
     OverlapError,
     PreconditionError,
-    RationalIntervalUnion,
     as_fraction,
+    associated_matrix,
+    certificate_from_json,
+    certificate_to_json,
     lcd,
-    normalize_to_integer_grid,
     rescale_system,
     residues_distinct,
+    validated_intervals,
 )
 from expobasis.domains import fraction_from_json, fraction_to_json
 
@@ -34,9 +37,6 @@ def sorted_endpoints(draws):
             out.append(f)
             cur = f
     return out
-
-
-endpoint_lists = st.lists(fractions_st, min_size=1, max_size=5).map(sorted_endpoints)
 
 
 # --- as_fraction / lcd ------------------------------------------------------
@@ -87,54 +87,55 @@ def test_lcd_clears_denominators(values):
             pytest.fail(f"{d} already clears denominators, lcd returned {n}")
 
 
-# --- RationalIntervalUnion ---------------------------------------------------
+# --- the domain rule -----------------------------------------------------------
+
+def _units(starts):
+    return [(x, x + 1) for x in starts]
+
 
 def test_union_basics():
-    u = RationalIntervalUnion((Fraction(0), Fraction(3)))
-    assert u.measure == 2
-    assert u.intervals == ((Fraction(0), Fraction(1)), (Fraction(3), Fraction(4)))
-    assert u.is_canonical
+    assert validated_intervals(_units([0, 3])) == (
+        (Fraction(0), Fraction(1)), (Fraction(3), Fraction(4)))
+    # floats convert exactly; endpoints beyond the float range are fine
+    assert validated_intervals([(0.25, 1)]) == ((Fraction(1, 4), Fraction(1)),)
+    huge = Fraction(10) ** 400
+    assert validated_intervals([(huge, huge + 1)]) == ((huge, huge + 1),)
 
 
 def test_union_requires_sorted_disjoint():
     with pytest.raises(OverlapError):
-        RationalIntervalUnion((Fraction(0), Fraction(1, 2)))
-    with pytest.raises(OverlapError):
-        RationalIntervalUnion((Fraction(3), Fraction(0)))
-    with pytest.raises(PreconditionError):
-        RationalIntervalUnion(())
+        validated_intervals(_units([0, Fraction(1, 2)]))
+    for bad in ([], [(0, 0), (0, 1)], [(1, 0)], [(0, Fraction(10) ** 400)]):
+        with pytest.raises(PreconditionError):
+            validated_intervals(bad)
+    # out-of-order input comes back sorted
+    assert validated_intervals(_units([3, 0])) == validated_intervals(_units([0, 3]))
 
 
 def test_union_touching_blocks_allowed():
-    u = RationalIntervalUnion((Fraction(0), Fraction(1), Fraction(2)))
-    assert u.measure == 3
+    assert len(validated_intervals(_units([0, 1, 2]))) == 3
 
 
-def test_canonicalize_shifts_to_zero():
-    u = RationalIntervalUnion((Fraction(5, 2), Fraction(9, 2)))
-    canon, shift = u.canonicalize()
-    assert shift == Fraction(-5, 2)
-    assert canon.left_endpoints == (Fraction(0), Fraction(2))
-    assert canon.is_canonical
-    assert u.translate(shift) == canon
-
-
-@given(endpoint_lists, fractions_st)
-def test_translate_preserves_measure_and_gaps(endpoints, shift):
-    u = RationalIntervalUnion(tuple(endpoints))
-    v = u.translate(shift)
-    assert v.measure == u.measure
-    assert [b - a for a, b in zip(v.left_endpoints, v.left_endpoints[1:])] == [
-        b - a for a, b in zip(u.left_endpoints, u.left_endpoints[1:])
-    ]
+@pytest.mark.parametrize("domain, error", [
+    ([(0, 0), (0, 1)], PreconditionError),
+    ([(1, 0)], PreconditionError),
+    ([(0, 1), (Fraction(1, 2), Fraction(3, 2))], OverlapError),
+], ids=["empty_interval", "reversed_interval", "overlap"])
+def test_certificates_apply_the_domain_rule(domain, error):
+    system = ExponentSystem([Fraction(0)])
+    with pytest.raises(error):
+        FrameCertificate(method="residue_orthogonal", A=1.0, B=1.0, system=system,
+                         domain_intervals=domain)
 
 
 def test_union_json_round_trip():
-    u = RationalIntervalUnion((Fraction(0), Fraction(10, 3)), label="demo")
-    doc = u.to_json()
-    assert doc["endpoints"][1] == {"num": 10, "den": 3}
-    assert doc["label"] == "demo"
-    assert RationalIntervalUnion.from_json(doc) == u
+    # the domain's one JSON form is the certificate's list of {start, end} rationals
+    cert = FrameCertificate(method="residue_orthogonal", A=1.0, B=2.0,
+                            system=ExponentSystem([Fraction(0), Fraction(1, 2)]),
+                            domain_intervals=_units([Fraction(10, 3), 0]))
+    doc = certificate_to_json(cert)
+    assert doc["domain"]["intervals"][1]["start"] == {"num": 10, "den": 3}
+    assert certificate_from_json(doc).domain_intervals == cert.domain_intervals
 
 
 def test_fraction_json_helpers():
@@ -162,22 +163,22 @@ def test_system_json_rejects_ill_typed_offsets(offset):
         ExponentSystem.from_json(doc)
 
 
-# --- integer normalization ----------------------------------------------------
+# --- grid dilation -------------------------------------------------------------
+
+def _node_matrix(starts):
+    """associated_matrix of a unit-offset system on unit intervals at ``starts``."""
+    branches = len(starts)
+    system = ExponentSystem([Fraction(j, branches) for j in range(branches)])
+    cert = FrameCertificate(method="residue_orthogonal", A=0.0, B=1.0, system=system,
+                            domain_intervals=_units(starts))
+    return associated_matrix(cert)
+
 
 def test_normalize_examples():
-    u = RationalIntervalUnion((Fraction(0), Fraction(10, 3)))
-    g = normalize_to_integer_grid(u)
-    assert (g.scale, g.left_endpoints) == (3, (0, 10))
-
-    v = RationalIntervalUnion((Fraction(0), Fraction(3)))
-    h = normalize_to_integer_grid(v)
-    assert (h.scale, h.left_endpoints) == (1, (0, 3))
-
-
-def test_normalize_rejects_negative_start():
-    u = RationalIntervalUnion((Fraction(-1, 2), Fraction(2)))
-    with pytest.raises(PreconditionError):
-        normalize_to_integer_grid(u)
+    matrix, scale = _node_matrix([Fraction(0), Fraction(10, 3)])
+    assert (scale, matrix.nodes) == (3.0, (0, 1, 2, 10, 11, 12))
+    matrix, scale = _node_matrix([Fraction(0), Fraction(3)])
+    assert (scale, matrix.nodes) == (1.0, (0, 3))
 
 
 # small denominators keep the common-denominator scale (and node count) modest
@@ -189,25 +190,38 @@ grid_endpoint_lists = st.lists(
 
 @given(grid_endpoint_lists)
 def test_normalize_node_count_is_scale_times_measure(endpoints):
-    u = RationalIntervalUnion(tuple(endpoints))
-    g = normalize_to_integer_grid(u)
-    assert len(g.nodes) == g.scale * u.measure
-    # nodes tile each block contiguously
-    node_set = set(g.nodes)
-    for a in g.left_endpoints:
-        for k in range(g.scale):
-            assert a + k in node_set
+    matrix, scale = _node_matrix(endpoints)
+    d = lcd(endpoints)
+    assert scale == d
+    assert len(set(matrix.nodes)) == len(matrix.nodes) == d * len(endpoints)
+    # nodes tile each dilated interval contiguously
+    for a in endpoints:
+        for k in range(d):
+            assert a * d + k in matrix.nodes
 
 
-def test_integer_union_nodes():
-    g = IntegerIntervalUnion((0, 10), scale=3)
-    assert g.nodes == (0, 1, 2, 10, 11, 12)
-    with pytest.raises(PreconditionError):
-        IntegerIntervalUnion((-1, 5), scale=2)
-    with pytest.raises(OverlapError):
-        IntegerIntervalUnion((0, 2), scale=3)
-    with pytest.raises(PreconditionError):
-        IntegerIntervalUnion((0,), scale=0)
+def _optimal_constants(starts):
+    matrix, scale = _node_matrix(starts)
+    sigma = np.linalg.svd(matrix.entries, compute_uv=False)
+    return sigma[-1] ** 2 / scale, sigma[0] ** 2 / scale
+
+
+def test_canonicalize_shifts_to_zero():
+    # the optimal constants do not see where the domain starts
+    shifted = _optimal_constants([Fraction(5, 2), Fraction(11, 2)])
+    assert shifted == pytest.approx(_optimal_constants([0, 3]), rel=1e-12)
+    assert shifted == pytest.approx((2.0, 2.0), rel=1e-12)
+
+
+@given(grid_endpoint_lists,
+       st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=2))
+@settings(max_examples=50, deadline=None)
+def test_translate_preserves_measure_and_gaps(endpoints, shift):
+    # a translate multiplies each exponential by a unimodular constant, so the
+    # node matrix on the translated grid has the same optimal constants
+    before = _optimal_constants(endpoints)
+    after = _optimal_constants([e + shift for e in endpoints])
+    assert after == pytest.approx(before, rel=1e-9, abs=1e-9)
 
 
 # --- residues ----------------------------------------------------------------
@@ -247,7 +261,9 @@ def test_system_branches_and_frequencies():
 
 def test_system_scaled_frequencies():
     sys_ = ExponentSystem((Fraction(0),), domain_scale=Fraction(3))
-    assert sys_.frequencies(1) == [-1 / 3, 0.0, 1 / 3]
+    freqs = sys_.frequencies(1)
+    assert freqs == [Fraction(-1, 3), 0, Fraction(1, 3)]  # exact
+    assert [float(f) for f in freqs] == [-1 / 3, 0.0, 1 / 3]
 
 
 def test_system_rejects_offset_collision_mod_one():

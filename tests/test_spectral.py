@@ -49,7 +49,7 @@ def test_one_by_one():
 
 @pytest.mark.parametrize("s", range(1, 7))
 def test_root_of_unity_matrix_has_flat_spectrum(s):
-    m = progression_matrix(list(range(s)), Fraction(1, s), s)
+    m = progression_matrix(list(range(s)), Fraction(1, s))
     spec = singular_values(m)
     np.testing.assert_allclose(spec.values, [math.sqrt(s)] * s, atol=1e-10)
 

@@ -9,27 +9,35 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from expobasis import (
-    IntegerIntervalUnion,
+    ExponentSystem,
+    FrameCertificate,
     PreconditionError,
+    associated_matrix,
     build_gamma,
     coherence,
-    matrix_from_bytes,
-    matrix_from_json,
-    matrix_to_bytes,
-    matrix_to_json,
-    nodes_of_union,
+    partition_by_coherence,
+    principal_angle_check,
     progression_matrix,
     sin_ratio,
-    wrap_distance,
 )
+from expobasis.vandermonde import _wrap_value
 
 
 # --- node extraction ----------------------------------------------------------
 
+def _grid_nodes(starts, branches):
+    """Nodes of a certificate whose unit intervals start at ``starts``."""
+    system = ExponentSystem([Fraction(j, branches) for j in range(branches)])
+    cert = FrameCertificate(method="residue_orthogonal", A=0.0, B=1.0, system=system,
+                            domain_intervals=[(x, x + 1) for x in starts])
+    return associated_matrix(cert)[0].nodes
+
+
 def test_nodes_of_union():
-    assert nodes_of_union(IntegerIntervalUnion((0, 3), scale=1)) == (0, 3)
-    assert nodes_of_union(IntegerIntervalUnion((0, 10), scale=3)) == (0, 1, 2, 10, 11, 12)
-    assert nodes_of_union(IntegerIntervalUnion((0,), scale=4)) == (0, 1, 2, 3)
+    # the integers covered by the domain dilated onto its grid
+    assert _grid_nodes([0, 3], 2) == (0, 3)
+    assert _grid_nodes([0, Fraction(10, 3)], 2) == (0, 1, 2, 10, 11, 12)
+    assert _grid_nodes([Fraction(1, 4)], 1) == (1, 2, 3, 4)
 
 
 # --- build_gamma ---------------------------------------------------------------
@@ -77,15 +85,15 @@ def test_gamma_exact_phase_for_huge_rational_arguments():
 
 
 def test_progression_matrix_records_spacing():
-    m = progression_matrix([0, 4, 8], Fraction(1, 12), 3)
+    m = progression_matrix([0, 4, 8], Fraction(1, 12))
     assert m.deltas == (0.0, 1 / 12, 2 / 12)
-    with pytest.raises(PreconditionError):
-        progression_matrix([0, 4], Fraction(1, 12), 3)
+    with pytest.raises(PreconditionError):  # 3 rows on 2 nodes is not square
+        principal_angle_check(partition_by_coherence([0, 4], Fraction(1, 12), 3))
 
 
 @pytest.mark.parametrize("length", [2, 3, 5, 8])
 def test_full_progression_is_orthogonal(length):
-    m = progression_matrix(list(range(length)), Fraction(1, length), length)
+    m = progression_matrix(list(range(length)), Fraction(1, length))
     gram = m.entries.conj().T @ m.entries
     np.testing.assert_allclose(gram, length * np.eye(length), atol=1e-10)
 
@@ -93,22 +101,23 @@ def test_full_progression_is_orthogonal(length):
 # --- wrap distance --------------------------------------------------------------
 
 def test_wrap_distance_examples():
-    assert wrap_distance(0.7, 0.1) == pytest.approx(0.4)
-    assert wrap_distance(0.3, 0.3) == 0
-    assert wrap_distance(Fraction(3, 4), Fraction(1, 4)) == Fraction(1, 2)
+    assert _wrap_value(Fraction(7, 10) - Fraction(1, 10)) == Fraction(2, 5)
+    assert _wrap_value(Fraction(3, 10) - Fraction(3, 10)) == 0
+    assert _wrap_value(Fraction(3, 4) - Fraction(1, 4)) == Fraction(1, 2)
+    assert _wrap_value(Fraction(-13, 4)) == Fraction(1, 4)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_wrap_distance_aliased_pair(n):
     # (3n-1)/(2n) and (n-1)/(2n) differ by exactly 1
-    assert wrap_distance(Fraction(3 * n - 1, 2 * n), Fraction(n - 1, 2 * n)) == 0
+    assert _wrap_value(Fraction(3 * n - 1, 2 * n) - Fraction(n - 1, 2 * n)) == 0
 
 
 @given(st.floats(-10, 10), st.floats(-10, 10))
 def test_wrap_distance_symmetric_and_bounded(t, s):
-    d = wrap_distance(t, s)
-    assert 0 <= d <= 0.5 + 1e-12
-    assert wrap_distance(s, t) == d
+    d = _wrap_value(Fraction(t) - Fraction(s))
+    assert 0 <= d <= Fraction(1, 2)
+    assert _wrap_value(Fraction(s) - Fraction(t)) == d
 
 
 # --- sin_ratio -------------------------------------------------------------------
@@ -169,29 +178,3 @@ def test_coherence_matches_column_inner_product(a, b, length, spacing):
     cols = np.exp(2j * np.pi * np.outer(deltas, [a, b]))
     ip = abs(np.vdot(cols[:, 0], cols[:, 1]))
     assert coherence(a, b, spacing, length) == pytest.approx(ip, abs=1e-9)
-
-
-# --- serialization -----------------------------------------------------------------
-
-def test_matrix_json_round_trip():
-    m = progression_matrix([0, 2, 5], 0.21, 3)
-    doc = matrix_to_json(m)
-    assert doc["rows"] == doc["cols"] == 3
-    back = matrix_from_json(doc)
-    np.testing.assert_array_equal(back.entries, m.entries)
-    assert back.nodes == m.nodes
-
-
-def test_matrix_bytes_round_trip():
-    m = build_gamma([0.0, 0.37], [1, 4])
-    blob = matrix_to_bytes(m)
-    assert len(blob) == 2 * 2 * 2 * 8  # L^2 entries, re+im, float64
-    back = matrix_from_bytes(blob)
-    np.testing.assert_array_equal(back, m.entries)
-
-
-def test_matrix_bytes_rejects_bad_payloads():
-    with pytest.raises(PreconditionError):
-        matrix_from_bytes(b"\x00" * 24)  # odd float count
-    with pytest.raises(PreconditionError):
-        matrix_from_bytes(b"\x00" * (2 * 8 * 3))  # 3 complex entries: not square

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from expobasis import (
     DEFAULT_SEED,
     ExponentSystem,
+    FrameCertificate,
     GramForm,
     PreconditionError,
     RatioSample,
@@ -127,6 +128,15 @@ def test_gram_matrix_matches_entries_on_merged_runs(kind, data):
     for i, li in enumerate(freqs):
         for j, lj in enumerate(freqs):
             assert abs(g[i, j] - gram_entry(li, lj, domain)) <= 1e-12 * measure
+
+
+@pytest.mark.parametrize("s, a", [(3, [0, 3 * 2**22 + 1, 6 * 2**22 + 2]), (2, [0, 2**52 + 1])])
+def test_far_apart_tight_frames_have_an_exact_section_gram(s, a):
+    # a float phase f*m keeps too few fraction bits once m reaches 2**22 and beyond
+    cert = residue_orthogonal_basis(s, a)
+    form = GramForm.build(cert.system, cert.domain_intervals, n_max=8)
+    assert np.abs(form.gram - s * np.eye(form.size)).max() <= 1e-12
+    assert verify_certificate(cert, trials=16).ok
 
 
 # --- Gram quadratic form ----------------------------------------------------------
@@ -308,6 +318,19 @@ def test_verify_rejects_reflected_complement_bounds():
 def test_verify_reports_every_oracle_violation_in_index_order():
     comp = complement_certificate(3, residue_orthogonal_basis(1, [0]))
     report = verify_certificate(comp, trials=40)
+    oracle_hits = [(v["index"], v["side"]) for v in report.violations
+                   if v["route"] == "oracle"]
+    assert oracle_hits == [(0, "upper"), (1, "lower")]
+
+
+def test_verify_reports_a_singular_lower_bound_once():
+    # offsets {0, 1/2} on blocks 2 apart: the node matrix is all ones, sigma^2 = 4, 0
+    cert = FrameCertificate(
+        method="residue_orthogonal", A=2.0, B=2.0,
+        system=ExponentSystem((Fraction(0), Fraction(1, 2))),
+        domain_intervals=((Fraction(0), Fraction(1)), (Fraction(2), Fraction(3))))
+    report = verify_certificate(cert, trials=8)
+    assert report.oracle.is_singular
     oracle_hits = [(v["index"], v["side"]) for v in report.violations
                    if v["route"] == "oracle"]
     assert oracle_hits == [(0, "upper"), (1, "lower")]
