@@ -1,12 +1,16 @@
-"""Command-line front end.
+"""Command-line front end, the program's only one.
 
-Subcommands: construct, certify, oracle, verify, regress, beta, report.
-Exit codes: 0 success, 1 precondition failure (named error) or usage error,
-2 verification failure, 3 malformed JSON input.  ``EXPOBASIS_SEED``
-overrides the default seed; an explicit ``--seed`` wins over both.  Identical
-invocations with identical seeds emit byte-identical reports.  Rational
-inputs are read exactly: ``0.025`` and ``1/40`` are the same Fraction.  The
-methods, their required options and the dispatch come from ``CONSTRUCTIONS``.
+Subcommands: construct, certify, oracle, verify, regress, beta, report.  The
+five certificate subcommands (construct, certify, oracle, verify, report) get
+their certificate one way: a method builds it from its options, or, with no
+method, ``--input`` holds it.  Only verify and report sample the Gram form, so
+only they take ``--seed``, ``--trials`` and ``--n-max``.  Exit codes: 0
+success, 1 precondition failure (named error) or usage error, 2 verification
+failure, 3 malformed JSON input.  ``EXPOBASIS_SEED`` overrides the default
+seed; an explicit ``--seed`` wins over both.  Identical invocations with
+identical seeds emit byte-identical reports.  Rational inputs are read
+exactly: ``0.025`` and ``1/40`` are the same Fraction.  The methods, their
+required options and the dispatch come from ``CONSTRUCTIONS``.
 """
 
 from __future__ import annotations
@@ -84,21 +88,18 @@ _READERS = {
 }
 
 
-def _build_certificate(args) -> FrameCertificate:
+def _certificate_for(args) -> FrameCertificate:
+    """The certificate a method builds, or without a method the one ``--input`` holds."""
+    if args.method is None:
+        if args.input is None:
+            raise PreconditionError("provide a method or --input with a certificate")
+        return _READERS["input"](args.input)
     builder, inputs = CONSTRUCTIONS[args.method.replace("-", "_")]
     missing = [f"--{name}" for name in inputs if getattr(args, name) is None]
     if missing:
         raise PreconditionError(f"method {args.method} requires {', '.join(missing)}")
     values = [_READERS.get(name, lambda v: v)(getattr(args, name)) for name in inputs]
     return getattr(constructions, builder)(*values)
-
-
-def _certificate_for(args) -> FrameCertificate:
-    if getattr(args, "input", None) and args.method is None:
-        return certificate_from_json(_load_input(args.input))
-    if args.method is None:
-        raise PreconditionError("provide a method or --input with a certificate")
-    return _build_certificate(args)
 
 
 def _matrix_summary(cert: FrameCertificate) -> dict | None:
@@ -187,10 +188,9 @@ def _render_text(doc, prefix: str = "") -> str:
     return "\n".join(x for x in lines if x)
 
 
-def _add_common(p: argparse.ArgumentParser, with_method: bool = True):
-    if with_method:
-        p.add_argument("method", nargs="?", choices=[m.replace("_", "-") for m in METHODS],
-                       help="construction to run (omit when --input carries a certificate)")
+def _add_common(p: argparse.ArgumentParser):
+    p.add_argument("method", nargs="?", choices=[m.replace("_", "-") for m in METHODS],
+                   help="construction to run (omit when --input carries a certificate)")
     p.add_argument("--s", type=int, help="number of unit intervals / branches")
     p.add_argument("--N", type=int, help="grid denominator (or block length)")
     p.add_argument("--M", type=int, help="number of retained intervals")
@@ -203,9 +203,6 @@ def _add_common(p: argparse.ArgumentParser, with_method: bool = True):
     p.add_argument("--Delta", type=str, help="length of the ambient block [0, Delta)")
     p.add_argument("--input", type=str, help="path to (or inline) JSON input")
     p.add_argument("--output", type=str, help="write the report here instead of stdout")
-    p.add_argument("--seed", type=int, default=None, help="sampling seed (default: EXPOBASIS_SEED or 42)")
-    p.add_argument("--trials", type=int, default=128, help="sampling trials (default 128)")
-    p.add_argument("--n-max", type=int, default=8, help="frequency truncation (default 8)")
     p.add_argument("--format", choices=("json", "text"), default="json")
 
 
@@ -233,6 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=doc)
         _add_common(p)
+        if name in ("verify", "report"):  # the two that sample the Gram form
+            p.add_argument("--seed", type=int, default=None,
+                           help="sampling seed (default: EXPOBASIS_SEED or 42)")
+            p.add_argument("--trials", type=int, default=128, help="sampling trials (default 128)")
+            p.add_argument("--n-max", type=int, default=8, help="frequency truncation (default 8)")
 
     p = sub.add_parser("regress", help="re-run the built-in counterexample fixtures")
     p.add_argument("--output", type=str)
@@ -249,21 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     if args.subcommand == "regress":
         try:
-            results = regression_examples()
+            results, ok = regression_examples(), True
         except RegressionFailure as exc:
-            results = exc.results
-            doc = {"schema": "v1",
-                   "regressions": [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                                   for r in results],
-                   "verdict": "fail"}
-            _emit(doc, args)
-            return 2
-        doc = {"schema": "v1",
+            results, ok = exc.results, False
+        _emit({"schema": "v1",
                "regressions": [{"name": r.name, "passed": r.passed, "detail": r.detail}
                                for r in results],
-               "verdict": "pass"}
-        _emit(doc, args)
-        return 0
+               "verdict": "pass" if ok else "fail"}, args)
+        return 0 if ok else 2
 
     if args.subcommand == "beta":
         m_hi = args.M if args.M_max is None else args.M_max
@@ -277,20 +272,19 @@ def _run(args) -> int:
         _emit({"schema": "v1", "beta": rows}, args)
         return 0
 
+    cert = _certificate_for(args)
+
     if args.subcommand == "certify":
-        cert = _build_certificate(args)
         _emit(certificate_to_json(cert), args)
         return 0
 
     if args.subcommand == "construct":
-        cert = _build_certificate(args)
         doc = {"schema": "v1", "certificate": certificate_to_json(cert),
                "matrix": _matrix_summary(cert)}
         _emit(doc, args)
         return 0
 
     if args.subcommand == "oracle":
-        cert = _certificate_for(args)
         oracle = _oracle_doc(cert)
         if oracle is None:
             raise PreconditionError(f"no node-matrix oracle applies to method {cert.method!r}")
@@ -298,13 +292,11 @@ def _run(args) -> int:
         return 0
 
     if args.subcommand == "verify":
-        cert = _certificate_for(args)
         doc, ok = _verify_doc(cert, args)
         _emit(doc, args)
         return 0 if ok else 2
 
     if args.subcommand == "report":
-        cert = _certificate_for(args)
         doc, ok = _verify_doc(cert, args)
         doc["matrix"] = _matrix_summary(cert)
         try:

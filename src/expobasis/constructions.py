@@ -549,12 +549,14 @@ def complement_certificate(delta_total, cert: FrameCertificate) -> FrameCertific
 
 # --- matrices for verification -------------------------------------------
 
-#: Rows of the largest node matrix route 1 builds.  A read certificate's
-#: common denominator D is otherwise unbounded, and Gamma is D*branches
-#: square in complex128: a denominator of 1e5 would ask for 160 GB.  2048
-#: rows is 64 MiB, far above the 96 rows of the largest matrix that the
-#: tests, the benchmark workloads and perfbench/ladder.py build.
-MAX_NODE_ROWS = 2048
+#: Rows of the largest square complex matrix either route builds: route 1's
+#: node matrix, D*branches square for a read certificate's common denominator
+#: D, and route 2's Gram section, branches*(2*n_max + 1) square.  Neither
+#: size is otherwise bounded: a denominator of 1e5 would ask for 160 GB.
+#: 2048 rows is 64 MiB, above the largest matrices that the tests, the
+#: benchmark workloads and perfbench/ladder.py build (96-row node matrices,
+#: 96*17 = 1632-row sections).
+MAX_MATRIX_ROWS = 2048
 
 
 def associated_matrix(cert: FrameCertificate) -> tuple[NodeMatrix, float] | None:
@@ -564,7 +566,7 @@ def associated_matrix(cert: FrameCertificate) -> tuple[NodeMatrix, float] | None
     over c, the nodes are the integers in D/c times the domain and the
     branches are (r + phi_j)/D for 0 <= r < D.  Returns (matrix, D/c), whose
     soundness contract is ``scale*A <= sigma^2 <= scale*B``, or None when the
-    matrix would not be square.  A matrix of more than ``MAX_NODE_ROWS`` rows
+    matrix would not be square.  A matrix of more than ``MAX_MATRIX_ROWS`` rows
     is refused before any node is built.
     """
     c = cert.system.domain_scale
@@ -572,10 +574,10 @@ def associated_matrix(cert: FrameCertificate) -> tuple[NodeMatrix, float] | None
     if sum(hi - lo for lo, hi in pieces) != cert.system.branches:
         return None
     d = lcd([x for piece in pieces for x in piece])
-    if d * cert.system.branches > MAX_NODE_ROWS:
+    if d * cert.system.branches > MAX_MATRIX_ROWS:
         raise PreconditionError(
             f"node matrix too large: {d} (common denominator) x {cert.system.branches} "
-            f"(branches) rows > MAX_NODE_ROWS = {MAX_NODE_ROWS}")
+            f"(branches) rows > MAX_MATRIX_ROWS = {MAX_MATRIX_ROWS}")
     nodes = [p for lo, hi in pieces for p in range(int(lo * d), int(hi * d))]
     branches = [(r + phi) / d for phi in cert.system.branch_offsets for r in range(d)]
     return build_gamma(branches, nodes), float(d / c)

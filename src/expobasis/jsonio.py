@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import JsonInputError, PreconditionError
 
-__all__ = ["dumps", "dump_path", "loads", "load_path"]
+__all__ = ["dumps", "loads"]
 
 
 def _format_float(x: float) -> str:
@@ -72,11 +72,6 @@ def dumps(obj, indent: int = 2) -> str:
     return "".join(out)
 
 
-def dump_path(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
-
-
 def loads(text: str):
     try:
         return json.loads(text)
@@ -85,8 +80,3 @@ def loads(text: str):
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             line=exc.lineno, column=exc.colno,
         ) from exc
-
-
-def load_path(path):
-    with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())

@@ -4,14 +4,13 @@ A system with branch offsets ``{delta_j}`` on a union with integer nodes
 ``{p_k}`` is a Riesz basis exactly when the square matrix
 ``Gamma[j, k] = exp(2 pi i delta_j p_k)`` is nonsingular, and its optimal
 frame constants are the extreme squared singular values of Gamma.  Offsets
-are exact rationals (a float converts exactly on entry), and the phases
-``delta_j * p_k`` are reduced mod 1 in integer arithmetic, so entries are
-accurate to one rounding of the phase.
+are exact rationals (a float converts exactly on entry), and ``unit_phases``
+reduces the phases ``delta_j * p_k`` mod 1 in integer arithmetic, so entries
+are accurate to one rounding of the phase.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,18 +18,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .domains import as_fraction, finite_float
+from .domains import as_fraction, finite_float, lcd
 from .errors import PreconditionError
 
 __all__ = [
     "NodeMatrix",
+    "unit_phases",
     "build_gamma",
     "progression_matrix",
     "sin_ratio",
     "coherence",
 ]
-
-TWO_PI_I = 1j * (2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -49,11 +47,29 @@ class NodeMatrix:
         return len(self.nodes)
 
 
+def unit_phases(xs: Sequence, ys: Sequence) -> np.ndarray:
+    """The len(xs) x len(ys) array exp(2 pi i x y) over exact rationals x, y.
+
+    Over common denominators x = X/Q and y = Y/P, the phase ``x y mod 1`` is
+    ``(X Y mod QP) / QP``: reduced in integers and rounded once, however large
+    x or y is.  A float converts exactly.
+    """
+    xs = [as_fraction(x) for x in xs]
+    ys = [as_fraction(y) for y in ys]
+    q, p = lcd(xs), lcd(ys)
+    mod = q * p
+    rows = [x.numerator * (q // x.denominator) for x in xs]
+    cols = [y.numerator * (p // y.denominator) % mod for y in ys]
+    turns = np.fromiter((a * b % mod / mod for a in rows for b in cols), float,
+                        len(rows) * len(cols)).reshape(len(rows), len(cols))
+    return np.exp(2j * np.pi * turns)
+
+
 def build_gamma(deltas: Sequence, nodes: Sequence[int]) -> NodeMatrix:
     """Assemble Gamma[j, k] = exp(2 pi i deltas[j] * nodes[k]).
 
-    The phase of delta = p/q at node n is ``(p n mod q) / q``, exact up to its
-    one rounding.  Nodes must be distinct integers and are sorted ascending.
+    The entries are ``unit_phases(deltas, nodes)``, exact up to one rounding
+    of each phase.  Nodes must be distinct integers and are sorted ascending.
     """
     if len(deltas) != len(nodes) or not deltas:
         raise PreconditionError(
@@ -63,13 +79,8 @@ def build_gamma(deltas: Sequence, nodes: Sequence[int]) -> NodeMatrix:
     if len(set(ordered)) != len(ordered):
         raise PreconditionError("nodes must be pairwise distinct")
     deltas = [as_fraction(d) for d in deltas]
-    L = len(ordered)
-    entries = np.empty((L, L), dtype=np.complex128)
-    for j, d in enumerate(deltas):
-        p, q = d.numerator, d.denominator
-        entries[j] = [cmath.exp(TWO_PI_I * (p * n % q / q)) for n in ordered]
     return NodeMatrix(
-        entries=entries,
+        entries=unit_phases(deltas, ordered),
         nodes=tuple(ordered),
         deltas=tuple(finite_float(d, "an offset") for d in deltas),
     )

@@ -20,18 +20,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constructions import FrameCertificate, associated_matrix
+from .constructions import MAX_MATRIX_ROWS, FrameCertificate, associated_matrix
 from .domains import (
     ExponentSystem,
     Interval,
     as_fraction,
     finite_float,
-    lcd,
     validated_intervals,
 )
 from .errors import PreconditionError, RegressionFailure, VerificationError
 from .spectral import SingularSpectrum, singular_values
-from .vandermonde import build_gamma, progression_matrix
+from .vandermonde import build_gamma, progression_matrix, unit_phases
 
 __all__ = [
     "DEFAULT_SEED",
@@ -99,25 +98,17 @@ def gram_matrix(frequencies: Sequence, u) -> np.ndarray:
     filled a block at a time, so the temporaries stay a block in size.
 
     Frequencies are read exactly (pass ``ExponentSystem.frequencies``; a
-    float converts exactly).  Over common denominators, f = F/Q and m = M/P,
-    so the phase ``f m mod 1 = (F M mod QP) / QP`` is reduced in integers and
-    rounded once, however large f or m is.
+    float converts exactly), and the columns ``W`` of every length come from
+    one ``unit_phases(f, m)`` over all runs: each phase ``f m mod 1`` is
+    reduced in integers and rounded once, however large f or m is.
     """
     exact = [as_fraction(x) for x in frequencies]
     f = np.asarray([finite_float(x, "a frequency") for x in exact], dtype=float)
-    q = lcd(exact)
-    nums = [x.numerator * (q // x.denominator) for x in exact]
-    midpoints: dict[Fraction, list[Fraction]] = {}
-    for lo, hi in _merged_runs(u):
-        midpoints.setdefault(hi - lo, []).append((lo + hi) / 2)
-    phases = []
-    for length, mids in midpoints.items():
-        p = lcd(mids)
-        mod = q * p
-        cols = [m.numerator * (p // m.denominator) % mod for m in mids]
-        turns = np.fromiter((a * b % mod / mod for a in nums for b in cols), float,
-                            len(nums) * len(cols)).reshape(len(nums), len(cols))
-        phases.append((float(length), np.exp(2j * np.pi * turns)))
+    runs = _merged_runs(u)
+    every_w = unit_phases(exact, [(lo + hi) / 2 for lo, hi in runs])
+    lengths = [hi - lo for lo, hi in runs]
+    phases = [(float(length), every_w[:, [k for k, x in enumerate(lengths) if x == length]])
+              for length in dict.fromkeys(lengths)]
     g = np.empty((f.size, f.size), dtype=complex)
     for start in range(0, f.size, _GRAM_ROWS):
         rows = slice(start, start + _GRAM_ROWS)
@@ -138,6 +129,13 @@ class GramForm:
 
     @classmethod
     def build(cls, system: ExponentSystem, u, n_max: int = 8) -> "GramForm":
+        """The section |n| <= n_max, refused before any frequency is listed when
+        it has more than ``MAX_MATRIX_ROWS`` rows."""
+        rows = system.branches * (2 * n_max + 1)
+        if rows > MAX_MATRIX_ROWS:
+            raise PreconditionError(
+                f"Gram section too large: {system.branches} (branches) x {2 * n_max + 1} "
+                f"(frequencies per branch) rows > MAX_MATRIX_ROWS = {MAX_MATRIX_ROWS}")
         freqs = system.frequencies(n_max)
         return cls(frequencies=tuple(freqs), gram=gram_matrix(freqs, u))
 

@@ -247,6 +247,41 @@ def test_unknown_method_is_an_argparse_error(run, capsys):
     assert exc.value.code == 0
 
 
+@pytest.mark.parametrize("sub", ["certify", "construct"])
+def test_no_method_and_no_input_is_a_named_error(run, sub):
+    code, out, err = run([sub])
+    assert (code, out) == (1, "")
+    assert err.startswith("error [PreconditionError]")
+    assert "provide a method or --input" in err
+
+
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--trials", "5"], ["--n-max", "2"]],
+                         ids=["seed", "trials", "n_max"])
+def test_sampling_flags_belong_to_verify_and_report_only(run, capsys, flag):
+    args = ["residue-orthogonal", "--s", "2", "--a", "0,3"]
+    for sub in ("certify", "construct", "oracle"):
+        with pytest.raises(SystemExit) as exc:
+            main([sub, *args, *flag])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: expobasis")
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+    for reader in ("verify", "report"):
+        code, out, _ = run([reader, *args, *flag])
+        assert code == 0
+        assert loads(out)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("sub", ["verify", "report"])
+def test_oversized_gram_section_is_a_named_error(run, sub):
+    # one branch at n_max = 1e5 would be a 200,001-square complex Gram (596 GiB)
+    code, out, err = run([sub, "residue-orthogonal", "--s", "1", "--a", "0",
+                          "--n-max", "100000"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error [PreconditionError]")
+    assert "MAX_MATRIX_ROWS" in err
+
+
 def test_regress_subcommand(run):
     code, out, _ = run(["regress"])
     assert code == 0
@@ -321,7 +356,7 @@ def test_oversized_node_matrix_is_refused_before_it_is_built(run):
         finally:
             tracemalloc.stop()
         assert (code, out) == (1, "")
-        assert "MAX_NODE_ROWS" in err
+        assert "MAX_MATRIX_ROWS" in err
         assert peak < 4 * 2**20
 
 
@@ -345,6 +380,19 @@ def _base_documents():
 
 
 _BASE_DOCUMENTS = _base_documents()
+
+
+@pytest.mark.parametrize("method", sorted(_BASE_DOCUMENTS))
+def test_certify_input_reproduces_the_certificate(run, tmp_path, method):
+    from expobasis.jsonio import dumps
+    path = tmp_path / "cert.json"
+    path.write_text(dumps(_BASE_DOCUMENTS[method]))
+    code, out, _ = run(["certify", "--input", str(path)])
+    assert code == 0
+    assert out == path.read_text()
+    code, out, _ = run(["construct", "--input", str(path)])
+    assert code == 0
+    assert loads(out)["certificate"] == _BASE_DOCUMENTS[method]
 
 
 def _paths(node, prefix=()):
@@ -391,7 +439,8 @@ def test_mutated_certificates_never_raise(doc):
     import io
     text = json.dumps(doc)
     for argv in (["verify", "--input", text, "--trials", "4", "--n-max", "2", "--seed", "1"],
-                 ["oracle", "--input", text]):
+                 ["oracle", "--input", text], ["certify", "--input", text],
+                 ["construct", "--input", text]):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(argv)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from expobasis.errors import JsonInputError, PreconditionError
-from expobasis.jsonio import dump_path, dumps, load_path, loads
+from expobasis.jsonio import dumps, loads
 
 
 def test_float_formatting():
@@ -61,10 +61,3 @@ def test_loads_reports_error_position():
         loads('{\n  "a": 1,\n  "b": }\n')
     assert err.value.line == 3
     assert err.value.column >= 1
-
-
-def test_path_round_trip(tmp_path):
-    target = tmp_path / "doc.json"
-    payload = {"values": [0.1, 2.0, -7], "label": "x"}
-    dump_path(payload, target)
-    assert load_path(target) == payload

@@ -76,6 +76,25 @@ def test_gamma_entries_are_plain_phases(deltas, nodes):
                                  abs_tol=1e-12)
 
 
+_OFFSETS = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=10**6),
+    st.floats(-3, 3).map(Fraction),
+)
+
+
+@given(st.lists(_OFFSETS, min_size=1, max_size=6),
+       st.lists(st.integers(-10**20, 10**20), min_size=1, max_size=6, unique=True))
+def test_gamma_equals_the_per_entry_phase_rule_bitwise(deltas, nodes):
+    # frac(p n / q) rounded once, then one complex exponential per entry
+    n = min(len(deltas), len(nodes))
+    deltas, nodes = deltas[:n], nodes[:n]
+    m = build_gamma(deltas, nodes)
+    expected = np.array([[cmath.exp(1j * (2.0 * math.pi) * (d.numerator * p % d.denominator
+                                                              / d.denominator))
+                          for p in sorted(nodes)] for d in deltas])
+    assert np.array_equal(m.entries.view(np.uint64), expected.view(np.uint64))
+
+
 def test_gamma_exact_phase_for_huge_rational_arguments():
     # float(delta * node) would lose the fractional part entirely here
     node = 3 * 10**15 + 1

@@ -179,6 +179,19 @@ def test_ratio_sample_validates_inputs():
         RatioSample(min_ratio=2.0, max_ratio=1.0, trials=4, seed=0, n_max=2)
 
 
+def test_oversized_section_is_refused_before_it_is_built():
+    import tracemalloc
+    system = ExponentSystem((Fraction(0),), domain_scale=Fraction(1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="MAX_MATRIX_ROWS"):
+            riesz_ratio_sample(system, SPLIT, n_max=10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_aliased_offsets_collapse_under_refinement():
     """Offsets {0, 1/2} on blocks 3 apart are tight, but on blocks 2 apart the
     truncated Gram develops a near-null vector; power refinement must drive the
