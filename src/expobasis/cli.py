@@ -32,7 +32,8 @@ from .constructions import (
 )
 from .errors import JsonInputError, PreconditionError, RegressionFailure
 from .spectral import singular_values
-from .verify import regression_examples, verify_certificate
+from .vandermonde import NodeMatrix
+from .verify import VerificationReport, regression_examples, verify_certificate
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -102,8 +103,8 @@ def _certificate_for(args) -> FrameCertificate:
     return getattr(constructions, builder)(*values)
 
 
-def _matrix_summary(cert: FrameCertificate) -> dict | None:
-    pair = associated_matrix(cert)
+def _matrix_summary(pair: tuple[NodeMatrix, float] | None) -> dict | None:
+    """The ``matrix`` field for an ``associated_matrix`` result."""
     if pair is None:
         return None
     matrix, scale = pair
@@ -130,7 +131,7 @@ def _oracle_doc(cert: FrameCertificate) -> dict | None:
     }
 
 
-def _verify_doc(cert: FrameCertificate, args) -> tuple[dict, bool]:
+def _verify_doc(cert: FrameCertificate, args) -> tuple[dict, VerificationReport]:
     report = verify_certificate(cert, n_max=args.n_max, trials=args.trials,
                                 seed=_resolve_seed(args))
     doc = {
@@ -152,7 +153,7 @@ def _verify_doc(cert: FrameCertificate, args) -> tuple[dict, bool]:
         "verdict": "pass" if report.ok else "fail",
         "violations": list(report.violations),
     }
-    return doc, report.ok
+    return doc, report
 
 
 def _emit(doc, args) -> None:
@@ -280,7 +281,7 @@ def _run(args) -> int:
 
     if args.subcommand == "construct":
         doc = {"schema": "v1", "certificate": certificate_to_json(cert),
-               "matrix": _matrix_summary(cert)}
+               "matrix": _matrix_summary(associated_matrix(cert))}
         _emit(doc, args)
         return 0
 
@@ -292,13 +293,15 @@ def _run(args) -> int:
         return 0
 
     if args.subcommand == "verify":
-        doc, ok = _verify_doc(cert, args)
+        doc, report = _verify_doc(cert, args)
         _emit(doc, args)
-        return 0 if ok else 2
+        return 0 if report.ok else 2
 
     if args.subcommand == "report":
-        doc, ok = _verify_doc(cert, args)
-        doc["matrix"] = _matrix_summary(cert)
+        doc, report = _verify_doc(cert, args)
+        ok = report.ok
+        doc["matrix"] = _matrix_summary(
+            None if report.matrix is None else (report.matrix, report.oracle_scale))
         try:
             regs = regression_examples()
             doc["regressions"] = [{"name": r.name, "passed": r.passed} for r in regs]

@@ -30,7 +30,7 @@ from .domains import (
 )
 from .errors import PreconditionError, RegressionFailure, VerificationError
 from .spectral import SingularSpectrum, singular_values
-from .vandermonde import build_gamma, progression_matrix, unit_phases
+from .vandermonde import NodeMatrix, build_gamma, progression_matrix, unit_phases
 
 __all__ = [
     "DEFAULT_SEED",
@@ -94,8 +94,14 @@ def gram_matrix(frequencies: Sequence, u) -> np.ndarray:
     ``nu = f - f'``, so the K runs of one length sum to
     ``l * sinc(nu * l) * (W W^H)``, where ``W = exp(2 pi i outer(f, m))`` is
     size x K.  The transcendental work is size^2 per distinct run length plus
-    size * K exponentials; the phase sum is one matrix product.  Rows are
-    filled a block at a time, so the temporaries stay a block in size.
+    size * K exponentials; the phase sum is one matrix product.
+
+    Only the lower block triangle is computed: each block of 64 rows
+    ``[start, stop)`` fills ``g[start:stop, :stop]``, its diagonal block is
+    made Hermitian in place, and the block left of it is mirrored, conjugated,
+    into the columns above it.  That is half the sinc and product work of the
+    full matrix, the result is exactly Hermitian, and the peak memory is one
+    Gram plus one row block of temporaries.
 
     Frequencies are read exactly (pass ``ExponentSystem.frequencies``; a
     float converts exactly), and the columns ``W`` of every length come from
@@ -111,12 +117,15 @@ def gram_matrix(frequencies: Sequence, u) -> np.ndarray:
               for length in dict.fromkeys(lengths)]
     g = np.empty((f.size, f.size), dtype=complex)
     for start in range(0, f.size, _GRAM_ROWS):
-        rows = slice(start, start + _GRAM_ROWS)
-        nu = f[rows, None] - f[None, :]
-        g[rows] = sum(length * np.sinc(nu * length) * (w[rows] @ w.conj().T)
-                      for length, w in phases)
-    g += g.conj().T  # in place: g.conj() is a fresh array, never a view of g
-    g *= 0.5
+        stop = min(start + _GRAM_ROWS, f.size)
+        rows = slice(start, stop)
+        nu = f[rows, None] - f[None, :stop]
+        g[rows, :stop] = sum(length * np.sinc(nu * length) * (w[rows] @ w[:stop].conj().T)
+                             for length, w in phases)
+        diagonal = g[rows, rows]  # a view: the updates below write into g
+        diagonal += diagonal.conj().T  # diagonal.conj() is a fresh array, never a view of g
+        diagonal *= 0.5
+        g[:start, rows] = g[rows, :start].conj().T
     return g
 
 
@@ -173,11 +182,18 @@ def _complex_gaussians(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _power_extreme(gram: np.ndarray, v: np.ndarray, steps: int, largest: bool) -> float:
-    """Rayleigh quotient after a few power steps toward the extreme eigenvalue."""
-    shift = float(np.max(np.sum(np.abs(gram), axis=1)))  # Gershgorin >= lambda_max
-    op = gram if largest else shift * np.eye(gram.shape[0]) - gram
+    """Rayleigh quotient after a few power steps toward the extreme eigenvalue.
+
+    Toward the smallest eigenvalue the steps apply ``shift*I - G`` as
+    ``shift*v - G v``, where the Gershgorin bound ``shift`` >= lambda_max is the
+    largest absolute row sum, taken one 64-row block at a time.  Nothing the
+    size of G is allocated besides G itself.
+    """
+    if not largest:
+        shift = max(float(np.max(np.sum(np.abs(gram[start:start + _GRAM_ROWS]), axis=1)))
+                    for start in range(0, gram.shape[0], _GRAM_ROWS))
     for _ in range(steps):
-        v = op @ v
+        v = gram @ v if largest else shift * v - gram @ v
         norm = float(np.linalg.norm(v))
         if norm == 0.0:
             break
@@ -187,6 +203,20 @@ def _power_extreme(gram: np.ndarray, v: np.ndarray, steps: int, largest: bool) -
 
 
 _TRIAL_BLOCK = 256  # trial columns per product: C and G C stay size x 256
+
+
+def _rayleigh_quotients(gram: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """(c* G c)/(c* c) for every column c of ``coeffs``, from one product G C.
+
+    G C is conjugated and multiplied by C in place, whose real part is that of
+    conj(C) * (G C); so besides C only G C is allocated, and it is freed on
+    return.
+    """
+    norms = np.sum(np.abs(coeffs) ** 2, axis=0)
+    forms = gram @ coeffs
+    np.conjugate(forms, out=forms)
+    forms *= coeffs
+    return np.sum(forms, axis=0).real / norms
 
 
 def riesz_ratio_sample(
@@ -217,8 +247,7 @@ def riesz_ratio_sample(
             while not np.any(c):
                 c = _complex_gaussians(rng, form.size)
             coeffs[:, col] = c
-        ratios = (np.sum(coeffs.conj() * (form.gram @ coeffs), axis=0).real
-                  / np.sum(np.abs(coeffs) ** 2, axis=0))
+        ratios = _rayleigh_quotients(form.gram, coeffs)
         i_lo, i_hi = int(np.argmin(ratios)), int(np.argmax(ratios))
         if ratios[i_lo] < lo:
             lo, v_lo = float(ratios[i_lo]), coeffs[:, i_lo]
@@ -328,7 +357,10 @@ def adaptive_simpson(f: Callable[[float], complex], a: float, b: float,
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """Both routes' findings; ``matrix`` is the node matrix route 1 checked."""
+
     certificate: FrameCertificate
+    matrix: NodeMatrix | None
     oracle: SingularSpectrum | None
     oracle_scale: float
     sample: RatioSample
@@ -363,7 +395,7 @@ def verify_certificate(
     violations: list[dict] = []
     lower, upper = cert.A - tol * abs(cert.A), cert.B + tol * abs(cert.B)
     pair = associated_matrix(cert)
-    oracle = None
+    matrix = oracle = None
     scale = 1.0
     if pair is not None:
         matrix, scale = pair
@@ -395,8 +427,8 @@ def verify_certificate(
     if sample.max_ratio > upper:
         violations.append({"route": "sample", "index": -1, "side": "upper",
                            "value": sample.max_ratio, "bound": cert.B})
-    return VerificationReport(certificate=cert, oracle=oracle, oracle_scale=scale,
-                              sample=sample, violations=tuple(violations))
+    return VerificationReport(certificate=cert, matrix=matrix, oracle=oracle,
+                              oracle_scale=scale, sample=sample, violations=tuple(violations))
 
 
 # --- frozen counterexample regressions --------------------------------------

@@ -302,6 +302,23 @@ def test_report_bundles_all_routes(run):
     assert doc["violations"] == []
 
 
+def test_report_builds_the_node_matrix_once(run, monkeypatch):
+    # route 1 and the matrix field read one Gamma
+    calls = []
+    build_gamma = constructions.build_gamma
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_gamma(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "build_gamma", counted)
+    code, out, _ = run(["report", "interval-removal", "--N", "17", "--m", "8",
+                        "--delta", "0.003", "--trials", "16"])
+    assert code == 0
+    assert len(calls) == 1
+    assert loads(out)["matrix"]["size"] == 16
+
+
 def test_text_format_renders_key_lines(run):
     code, out, _ = run(["report", "interval-removal", "--N", "4", "--m", "1",
                         "--delta", "0.08", "--trials", "16", "--format", "text"])

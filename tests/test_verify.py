@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from expobasis import (
     complement_certificate,
     construct_interval_removal,
     construct_perturbed_union,
+    delta_window_interval_removal,
     gram_entry,
     gram_matrix,
     intervals_contained,
@@ -29,7 +31,8 @@ from expobasis import (
     riesz_ratio_sample,
     verify_certificate,
 )
-from expobasis.verify import _power_extreme
+from expobasis.vandermonde import unit_phases
+from expobasis.verify import _merged_runs, _power_extreme
 
 SPLIT = ((Fraction(0), Fraction(1)), (Fraction(3), Fraction(4)))
 
@@ -125,9 +128,69 @@ def test_gram_matrix_matches_entries_on_merged_runs(kind, data):
     freqs, domain = data.draw(_gram_case(kind))
     g = gram_matrix(freqs, domain)
     measure = float(sum(hi - lo for lo, hi in domain))
+    assert np.array_equal(g, g.conj().T)
+    assert np.abs(g - _full_rows_gram(freqs, domain)).max() <= 1e-14 * measure
     for i, li in enumerate(freqs):
         for j, lj in enumerate(freqs):
             assert abs(g[i, j] - gram_entry(li, lj, domain)) <= 1e-12 * measure
+
+
+def _full_rows_gram(freqs, domain):
+    """The Gram built every entry twice, full 64-row blocks, then averaged
+    with its conjugate transpose: the reference for the triangular build."""
+    f = np.asarray([float(x) for x in freqs])
+    runs = _merged_runs(domain)
+    every_w = unit_phases(freqs, [(lo + hi) / 2 for lo, hi in runs])
+    lengths = [hi - lo for lo, hi in runs]
+    phases = [(float(length), every_w[:, [k for k, x in enumerate(lengths) if x == length]])
+              for length in dict.fromkeys(lengths)]
+    g = np.empty((f.size, f.size), dtype=complex)
+    for start in range(0, f.size, 64):
+        rows = slice(start, start + 64)
+        nu = f[rows, None] - f[None, :]
+        g[rows] = sum(length * np.sinc(nu * length) * (w[rows] @ w.conj().T)
+                      for length, w in phases)
+    return 0.5 * (g + g.conj().T)
+
+
+def _removal_section(n_intervals):
+    """Frequencies and domain of interval removal from n_intervals + 1 blocks,
+    delta mid-window: 17 * n_intervals Gram rows at n_max = 8."""
+    lo, hi, _ = delta_window_interval_removal(n_intervals + 1)
+    cert = construct_interval_removal(n_intervals + 1, n_intervals // 2, (lo + hi) / 2)
+    return cert.system.frequencies(8), cert.domain_intervals
+
+
+@pytest.mark.parametrize("n_intervals", [16, 32, 64])
+def test_triangular_gram_equals_the_full_rows_build_on_interval_removal(n_intervals):
+    freqs, domain = _removal_section(n_intervals)
+    g = gram_matrix(freqs, domain)
+    assert g.shape == (17 * n_intervals,) * 2
+    assert np.array_equal(g, _full_rows_gram(freqs, domain))
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gram_build_peak_memory_is_one_gram_and_a_row_block():
+    freqs, domain = _removal_section(64)
+    g = gram_matrix(freqs, domain)
+    assert g.nbytes == 1088 * 1088 * 16
+    assert _traced_peak(lambda: gram_matrix(freqs, domain)) < 1.25 * g.nbytes
+
+
+def test_refined_sample_allocates_nothing_gram_sized():
+    freqs, domain = _removal_section(64)
+    form = GramForm(frequencies=tuple(freqs), gram=gram_matrix(freqs, domain))
+    riesz_ratio_sample(form, trials=1)  # numpy imports numpy.random lazily
+    peak = _traced_peak(lambda: riesz_ratio_sample(form, refine=5))
+    assert peak < 0.25 * form.gram.nbytes
 
 
 @pytest.mark.parametrize("s, a", [(3, [0, 3 * 2**22 + 1, 6 * 2**22 + 2]), (2, [0, 2**52 + 1])])
