@@ -177,14 +177,13 @@ def _json_number(v) -> Fraction:
 def rescale_system(
     system: ExponentSystem,
     rho,
-    v=0,
     constants: tuple[float, float] | None = None,
 ):
-    """Dilate the underlying domain by rho (and translate by v).
+    """Dilate the underlying domain by rho.
 
     Frequencies are divided by rho, i.e. ``domain_scale`` is multiplied by it;
-    attached frame constants scale by rho; translation leaves both the offsets
-    and the constants unchanged.
+    attached frame constants scale by rho.  A translation would change
+    neither, so none is taken.
 
     Returns the rescaled system, or ``(system, (A*rho, B*rho))`` when
     ``constants`` is given.

@@ -6,9 +6,9 @@ matrices probed with random coefficients, and (where a node matrix exists) the
 Jacobi spectrum.  Every domain argument goes through ``validated_intervals``,
 the rule each certificate already obeys.  Gram phases are reduced mod 1 in
 exact arithmetic, from the exact frequencies of ``ExponentSystem``, so large
-endpoints or frequencies cost no accuracy.  Sampling is deterministic: trial
-``t`` draws from ``PCG64(seed + t)``, and min/max aggregation makes the result
-independent of trial order.
+endpoints or frequencies cost no accuracy.  Sampling is deterministic: each
+sample draws its trials, in order, from one ``np.random.default_rng(seed)``
+stream, so distinct seeds share no trials.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 42
+_TOL = 1e-8  # each side of a certificate is widened by this fraction of itself
 
 
 # --- Gram forms -------------------------------------------------------------
@@ -135,6 +136,7 @@ class GramForm:
 
     frequencies: tuple[Fraction, ...]
     gram: np.ndarray
+    n_max: int
 
     @classmethod
     def build(cls, system: ExponentSystem, u, n_max: int = 8) -> "GramForm":
@@ -146,7 +148,7 @@ class GramForm:
                 f"Gram section too large: {system.branches} (branches) x {2 * n_max + 1} "
                 f"(frequencies per branch) rows > MAX_MATRIX_ROWS = {MAX_MATRIX_ROWS}")
         freqs = system.frequencies(n_max)
-        return cls(frequencies=tuple(freqs), gram=gram_matrix(freqs, u))
+        return cls(frequencies=tuple(freqs), gram=gram_matrix(freqs, u), n_max=n_max)
 
     @property
     def size(self) -> int:
@@ -171,14 +173,6 @@ class RatioSample:
     def __post_init__(self):
         if self.min_ratio > self.max_ratio:
             raise VerificationError("min_ratio exceeds max_ratio")
-
-
-def _complex_gaussians(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Standard complex Gaussians via Box-Muller: r*exp(2 pi i theta)."""
-    u1 = rng.random(n)
-    u2 = rng.random(n)
-    r = np.sqrt(-2.0 * np.log1p(-u1))
-    return r * np.exp(2j * np.pi * u2)
 
 
 def _power_extreme(gram: np.ndarray, v: np.ndarray, steps: int, largest: bool) -> float:
@@ -226,37 +220,35 @@ def riesz_ratio_sample(
     """Sample Rayleigh quotients (a* G a)/(a* a) over random complex Gaussians.
 
     ``system`` may be an ExponentSystem (with ``u`` the domain) or a prebuilt
-    GramForm.  Trial t draws its coefficients from PCG64(seed + t), redrawing
-    an all-zero vector.  The trials are stacked as the columns of a matrix C
-    (up to 256 at a time), and their quotients come from one product G C.
-    The extremes are the first minimum and first maximum in trial order;
-    ``refine`` > 0 polishes them with that many power-iteration steps on G.
+    GramForm, whose own ``n_max`` the sample reports.  All trials come from
+    one ``np.random.default_rng(seed)``: trial t is the t-th run of
+    2 * size standard normals, read as size complex numbers.  The trials are
+    stacked as the columns of a matrix C (up to 256 at a time, drawn in order,
+    so the block width does not change them), and their quotients come from
+    one product G C.  The extremes are the first minimum and first maximum in
+    trial order; ``refine`` > 0 polishes them with that many power-iteration
+    steps on G.
     """
-    if n_max < 1 or trials < 1:
-        raise PreconditionError("need n_max >= 1 and trials >= 1")
+    if n_max < 1 or trials < 1 or seed < 0:
+        raise PreconditionError("need n_max >= 1, trials >= 1 and seed >= 0")
     form = system if isinstance(system, GramForm) else GramForm.build(system, u, n_max)
+    rng = np.random.default_rng(seed)
     lo = math.inf
     hi = -math.inf
     v_lo = v_hi = None
     for first in range(0, trials, _TRIAL_BLOCK):
-        block = range(first, min(first + _TRIAL_BLOCK, trials))
-        coeffs = np.empty((form.size, len(block)), dtype=complex)
-        for col, trial in enumerate(block):
-            rng = np.random.Generator(np.random.PCG64(seed + trial))
-            c = _complex_gaussians(rng, form.size)
-            while not np.any(c):
-                c = _complex_gaussians(rng, form.size)
-            coeffs[:, col] = c
+        width = min(_TRIAL_BLOCK, trials - first)
+        coeffs = rng.standard_normal((width, 2 * form.size)).view(complex).T
         ratios = _rayleigh_quotients(form.gram, coeffs)
         i_lo, i_hi = int(np.argmin(ratios)), int(np.argmax(ratios))
         if ratios[i_lo] < lo:
-            lo, v_lo = float(ratios[i_lo]), coeffs[:, i_lo]
+            lo, v_lo = float(ratios[i_lo]), coeffs[:, i_lo].copy()
         if ratios[i_hi] > hi:
-            hi, v_hi = float(ratios[i_hi]), coeffs[:, i_hi]
+            hi, v_hi = float(ratios[i_hi]), coeffs[:, i_hi].copy()
     if refine > 0:
         lo = min(lo, _power_extreme(form.gram, v_lo, refine, largest=False))
         hi = max(hi, _power_extreme(form.gram, v_hi, refine, largest=True))
-    return RatioSample(min_ratio=lo, max_ratio=hi, trials=trials, seed=seed, n_max=n_max)
+    return RatioSample(min_ratio=lo, max_ratio=hi, trials=trials, seed=seed, n_max=form.n_max)
 
 
 # --- band-limited restriction probe ----------------------------------------
@@ -283,18 +275,21 @@ def bessel_restriction_sample(
     (widened if the truncated frequency set is too narrow-band), centered with
     a 6.5 sigma margin so the cutoff at the window edge sits below 1e-9; the
     spectral tail beyond n_max then stays orders of magnitude under the 1e-8
-    comparison tolerances.
+    comparison tolerances.  Each trial takes two uniforms, the window centre's
+    and then the modulation's, from one ``np.random.default_rng(seed)``.
     """
+    if seed < 0:
+        raise PreconditionError("need seed >= 0")
     if not intervals_contained(sub, domain):
         raise PreconditionError("restriction domain is not contained in the host domain")
     pieces = validated_intervals(sub)
     freqs = np.asarray(system.frequencies(n_max), dtype=float)
     bandwidth = (n_max - 1) / float(system.domain_scale)
     nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
+    rng = np.random.default_rng(seed)
     lo_r = math.inf
     hi_r = -math.inf
     for trial in range(trials):
-        rng = np.random.Generator(np.random.PCG64(seed + trial))
         p_lo, p_hi = pieces[trial % len(pieces)]
         length = float(p_hi - p_lo)
         sigma = length / 16.0
@@ -379,21 +374,21 @@ class VerificationReport:
 
 def verify_certificate(
     cert: FrameCertificate, n_max: int = 8, trials: int = 128,
-    seed: int = DEFAULT_SEED, tol: float = 1e-8,
+    seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
     """Check a certificate against both routes and collect any violations.
 
     Each side carries its own relative tolerance: the lower bound is
-    ``A - tol*|A|`` and the upper bound ``B + tol*|B|``.  Route 1 (when the
-    certificate's system on its domain has a square node matrix): every
-    oracle sigma^2 must lie between ``scale`` times those bounds, each one
-    outside is reported in index order, and a certificate with A > 0 must
-    not be numerically singular (reported once, as its last index).  Route 2:
-    sampled Gram ratios of the (unscaled) system over the certified domain
-    must lie between the bounds themselves.
+    ``A - tol*|A|`` and the upper bound ``B + tol*|B|``, with tol = 1e-8.
+    Route 1 (when the certificate's system on its domain has a square node
+    matrix): every oracle sigma^2 must lie between ``scale`` times those
+    bounds, each one outside is reported in index order, and a certificate
+    with A > 0 must not be numerically singular (reported once, as its last
+    index).  Route 2: sampled Gram ratios of the (unscaled) system over the
+    certified domain must lie between the bounds themselves.
     """
     violations: list[dict] = []
-    lower, upper = cert.A - tol * abs(cert.A), cert.B + tol * abs(cert.B)
+    lower, upper = cert.A - _TOL * abs(cert.A), cert.B + _TOL * abs(cert.B)
     pair = associated_matrix(cert)
     matrix = oracle = None
     scale = 1.0

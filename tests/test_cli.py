@@ -91,6 +91,21 @@ def test_seed_precedence(run):
     assert loads(run(args + ["--seed", "11"], env={"EXPOBASIS_SEED": "7"})[1])["sample"]["seed"] == 11
 
 
+def test_neighbouring_seeds_sample_different_extremes(run):
+    args = ["verify", "interval-removal", "--N", "17", "--m", "3", "--delta", "1/300"]
+    one = loads(run(args + ["--seed", "1"])[1])["sample"]
+    two = loads(run(args + ["--seed", "2"])[1])["sample"]
+    assert one["min_ratio"] != two["min_ratio"] and one["max_ratio"] != two["max_ratio"]
+
+
+@pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], {"EXPOBASIS_SEED": "-5"})],
+                         ids=["flag", "env"])
+def test_negative_seed_is_a_precondition_error(run, flag, env):
+    code, _, err = run(["verify", "residue-orthogonal", "--s", "2", "--a", "0,3"] + flag, env=env)
+    assert code == 1
+    assert "PreconditionError" in err and "seed >= 0" in err
+
+
 def test_bad_seed_env_is_a_precondition_error(run):
     code, _, err = run(["verify", "residue-orthogonal", "--s", "2", "--a", "0,3"],
                        env={"EXPOBASIS_SEED": "pony"})

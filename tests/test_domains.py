@@ -306,12 +306,11 @@ def test_rescale_halves_domain_and_constants():
     assert (a, b) == (1.0, 1.0)
 
 
-@given(st.fractions(min_value=Fraction(1, 8), max_value=Fraction(8), max_denominator=8),
-       st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=8))
-def test_rescale_round_trip(rho, shift):
+@given(st.fractions(min_value=Fraction(1, 8), max_value=Fraction(8), max_denominator=8))
+def test_rescale_round_trip(rho):
     sys_ = ExponentSystem((Fraction(0), Fraction(1, 3)), domain_scale=Fraction(1))
-    there = rescale_system(sys_, rho, v=shift)
-    back = rescale_system(there, 1 / rho, v=-shift / rho)
+    there = rescale_system(sys_, rho)
+    back = rescale_system(there, 1 / rho)
     assert back.domain_scale == sys_.domain_scale
     assert back.branch_offsets == sys_.branch_offsets
 

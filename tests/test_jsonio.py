@@ -12,8 +12,10 @@ from expobasis.jsonio import dumps, loads
 
 def test_float_formatting():
     assert dumps({"x": 1.0}) == '{\n  "x": 1.0\n}\n'
-    assert '"x": 0.10000000000000001' in dumps({"x": 0.1})
-    assert '"x": -0.0' in dumps({"x": -0.0})
+    assert '"x": 0.1\n' in dumps({"x": 0.1})
+    assert '"x": -0.0\n' in dumps({"x": -0.0})
+    big = loads(dumps({"x": 1e16}))["x"]
+    assert isinstance(big, float) and big == 1e16
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -52,8 +54,6 @@ def test_key_order_preserved_and_deterministic():
 def test_unserializable_objects_rejected():
     with pytest.raises(PreconditionError):
         dumps({"x": object()})
-    with pytest.raises(PreconditionError):
-        dumps({1: "non-string key"})
 
 
 def test_loads_reports_error_position():

@@ -187,7 +187,7 @@ def test_gram_build_peak_memory_is_one_gram_and_a_row_block():
 
 def test_refined_sample_allocates_nothing_gram_sized():
     freqs, domain = _removal_section(64)
-    form = GramForm(frequencies=tuple(freqs), gram=gram_matrix(freqs, domain))
+    form = GramForm(frequencies=tuple(freqs), gram=gram_matrix(freqs, domain), n_max=8)
     riesz_ratio_sample(form, trials=1)  # numpy imports numpy.random lazily
     peak = _traced_peak(lambda: riesz_ratio_sample(form, refine=5))
     assert peak < 0.25 * form.gram.nbytes
@@ -231,6 +231,22 @@ def test_ratio_sample_is_seed_deterministic():
     c = riesz_ratio_sample(system, SPLIT, n_max=4, trials=20, seed=100)
     assert a == b
     assert (a.min_ratio, a.max_ratio) != (c.min_ratio, c.max_ratio)
+
+
+def test_prebuilt_form_reports_its_own_n_max():
+    system = ExponentSystem((Fraction(0), Fraction(1, 2)), domain_scale=Fraction(1))
+    form = GramForm.build(system, SPLIT, n_max=3)
+    assert (form.size, form.n_max) == (14, 3)
+    assert riesz_ratio_sample(form, trials=4).n_max == 3
+
+
+def test_sample_does_not_depend_on_the_trial_block(monkeypatch):
+    import expobasis.verify as verify
+    cert = construct_interval_removal(6, 2, 0.025)
+    form = GramForm.build(cert.system, cert.domain_intervals, n_max=4)
+    wide = riesz_ratio_sample(form, trials=50, seed=11, refine=5)
+    monkeypatch.setattr(verify, "_TRIAL_BLOCK", 7)
+    assert riesz_ratio_sample(form, trials=50, seed=11, refine=5) == wide
 
 
 def test_ratio_sample_validates_inputs():
@@ -277,14 +293,13 @@ def test_sound_certificate_sampled_within_bounds():
 
 
 def _looped_sample(form, trials, seed, refine):
-    """One form.ratio per trial, keeping the first minimum and maximum."""
+    """One form.ratio per trial, each trial the next 2 * size normals of one
+    stream read as complex numbers, keeping the first minimum and maximum."""
+    rng = np.random.default_rng(seed)
     lo, hi = math.inf, -math.inf
-    for trial in range(trials):
-        rng = np.random.Generator(np.random.PCG64(seed + trial))
-        c = np.zeros(form.size)
-        while not np.any(c):
-            u1, u2 = rng.random(form.size), rng.random(form.size)
-            c = np.sqrt(-2.0 * np.log1p(-u1)) * np.exp(2j * np.pi * u2)
+    for _ in range(trials):
+        pairs = rng.standard_normal((form.size, 2))
+        c = pairs[:, 0] + 1j * pairs[:, 1]
         r = form.ratio(c)
         if r < lo:
             lo, v_lo = r, c
@@ -337,6 +352,15 @@ def test_restriction_of_unit_fourier_to_half_interval():
     assert sample.max_ratio == pytest.approx(1.0, abs=1e-8)
 
 
+def test_restriction_sample_seeds_share_no_trials():
+    # a piece of length 3 under unit-spaced branches: the ratio varies with the probe
+    system = ExponentSystem((Fraction(0), Fraction(1, 3)), domain_scale=Fraction(1))
+    host = ((Fraction(0), Fraction(3)),)
+    one, two = (bessel_restriction_sample(system, host, host, n_max=32, trials=16, seed=seed)
+                for seed in (3, 4))
+    assert one.min_ratio != two.min_ratio and one.max_ratio != two.max_ratio
+
+
 def test_restriction_preconditions():
     system = ExponentSystem((Fraction(0),), domain_scale=Fraction(1))
     host = ((Fraction(0), Fraction(1)),)
@@ -344,6 +368,8 @@ def test_restriction_preconditions():
         bessel_restriction_sample(system, host, ((Fraction(0), Fraction(2)),))
     with pytest.raises(PreconditionError):
         bessel_restriction_sample(system, host, ((Fraction(0), Fraction(1, 2)),), n_max=2)
+    with pytest.raises(PreconditionError, match="seed >= 0"):
+        bessel_restriction_sample(system, host, host, seed=-1)
 
 
 def test_intervals_contained():
