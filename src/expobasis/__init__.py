@@ -7,12 +7,10 @@ oracle or a sampled Gram quadratic form.
 
 from .clusters import (
     ClusterPartition,
-    SpectrumSandwich,
     cluster_spectrum,
     default_threshold,
     partition_by_coherence,
     principal_angle_check,
-    sandwich,
 )
 from .constructions import (
     BetaSolution,
@@ -31,23 +29,18 @@ from .constructions import (
     delta_window_perturbed_union,
     residue_orthogonal_basis,
     separation_margin,
-    shifted_sine_ratio_increasing,
     signed_sin_ratio,
     solve_beta,
-    subset_basis,
     threshold_u,
-    unit_gap_coherence_bounded,
 )
 from .domains import (
     ExponentSystem,
     as_fraction,
     lcd,
-    rescale_system,
     residues_distinct,
     validated_intervals,
 )
 from .errors import (
-    AngleConditionError,
     ClusterSizeError,
     ComplementRangeError,
     DeltaWindowError,
@@ -77,12 +70,8 @@ from .verify import (
     RatioSample,
     RegressionResult,
     VerificationReport,
-    adaptive_simpson,
-    bessel_check_restriction,
-    bessel_restriction_sample,
     gram_entry,
     gram_matrix,
-    intervals_contained,
     regression_examples,
     riesz_ratio_sample,
     verify_certificate,

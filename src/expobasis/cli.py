@@ -162,8 +162,11 @@ def _emit(doc, args) -> None:
     else:
         text = _render_text(doc) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise PreconditionError(f"cannot write output {args.output!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

@@ -1,10 +1,9 @@
-"""Cluster partitions of matrix columns and the spectral sandwich.
+"""Cluster partitions of matrix columns, their block spectra and principal angles.
 
 Columns of a uniform node matrix whose pairwise coherence (the sine-ratio of
-their node difference) reaches a threshold are grouped into clusters; small
-cross-cluster coherence turns into a near-orthogonality angle, and the block
-spectra squeezed through ``sqrt(1 -/+ L*alpha)`` factors bound the true
-singular values.
+their node difference) reaches a threshold are grouped into clusters.
+``cluster_spectrum`` gives a cluster's singular values in closed form and
+``principal_angle_check`` the exact smallest angle between cluster spans.
 """
 
 from __future__ import annotations
@@ -17,16 +16,14 @@ from typing import Sequence
 import numpy as np
 
 from .domains import as_fraction
-from .errors import AngleConditionError, ClusterSizeError, PreconditionError, RankDeficientError
+from .errors import ClusterSizeError, PreconditionError, RankDeficientError
 from .vandermonde import coherence, progression_matrix
 
 __all__ = [
     "ClusterPartition",
-    "SpectrumSandwich",
     "default_threshold",
     "partition_by_coherence",
     "cluster_spectrum",
-    "sandwich",
     "principal_angle_check",
 ]
 
@@ -40,8 +37,9 @@ def default_threshold(length: int) -> float:
 class ClusterPartition:
     """Connected components of the coherence graph on node indices.
 
-    ``alpha = arcsin(cross_coherence / length)`` is the near-orthogonality
-    angle defect; the sandwich needs ``length * alpha < 1``.  ``chained``
+    ``alpha = arcsin(cross_coherence / length)`` is the pairwise
+    near-orthogonality angle defect, a lower bound on the exact defect
+    ``pi/2 - principal_angle_check(partition)``.  ``chained``
     marks components of size > 2 that are not coherence-cliques, for which the
     closed-form cluster spectra are unavailable anyway.
     """
@@ -143,40 +141,6 @@ def cluster_spectrum(partition: ClusterPartition, cluster_index: int) -> tuple[f
         return (math.sqrt(L + b), math.sqrt(max(L - b, 0.0)))
     raise ClusterSizeError(
         f"cluster {cluster_index} has {len(cluster)} columns; closed form stops at 2"
-    )
-
-
-@dataclass(frozen=True)
-class SpectrumSandwich:
-    """Per-index bounds sqrt(1 -/+ L*alpha) * sigma~_j around cluster spectra."""
-
-    tilde_sigmas: tuple[float, ...]
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
-
-    def contains(self, sigmas: Sequence[float], tol: float = 0.0) -> bool:
-        return len(sigmas) == len(self.tilde_sigmas) and all(
-            lo - tol <= s <= hi + tol
-            for lo, s, hi in zip(self.lower, sorted(sigmas, reverse=True), self.upper)
-        )
-
-
-def sandwich(partition: ClusterPartition) -> SpectrumSandwich:
-    """Squeeze the merged cluster spectra into bounds for the true spectrum."""
-    L = partition.length
-    la = L * partition.alpha
-    if la >= 1.0:
-        raise AngleConditionError(f"L*alpha = {la:.6g} >= 1: sandwich inapplicable")
-    tilde: list[float] = []
-    for idx in range(len(partition.clusters)):
-        tilde.extend(cluster_spectrum(partition, idx))
-    tilde.sort(reverse=True)
-    lo = math.sqrt(1.0 - la)
-    hi = math.sqrt(1.0 + la)
-    return SpectrumSandwich(
-        tilde_sigmas=tuple(tilde),
-        lower=tuple(lo * t for t in tilde),
-        upper=tuple(hi * t for t in tilde),
     )
 
 

@@ -8,11 +8,12 @@ certificate names its exponent system and its domain, and
 ``associated_matrix`` reduces that pair to the node matrix the
 singular-value oracle checks.
 
-The certified bounds all follow one mechanism: pairwise column coherence is a
-sine ratio of the node difference, large-coherence pairs form clusters of at
-most two columns whose spectra are ``L +/- |b|`` in closed form, and the small
-cross-cluster coherence bounds the angle defect that squeezes those block
-spectra around the true singular values.
+The certified bounds are closed forms in sine ratios, the pairwise column
+coherence of a node matrix: an envelope factor ``1 -/+ M sin(1/M)``, or
+``1 -/+ c`` with c the parity cosine bound, times a column-spread factor.  The
+paired lattice variant clusters large-coherence pairs with
+``partition_by_coherence`` and widens its spread by the largest
+within-cluster sine ratio.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .errors import (
     ThresholdError,
     VerificationError,
 )
-from .spectral import is_singular
 from .vandermonde import NodeMatrix, _wrap_value, build_gamma, sin_ratio
 
 __all__ = [
@@ -56,8 +56,6 @@ __all__ = [
     "METHODS",
     "signed_sin_ratio",
     "solve_beta",
-    "unit_gap_coherence_bounded",
-    "shifted_sine_ratio_increasing",
     "delta_window_perturbed_union",
     "construct_perturbed_union",
     "delta_window_interval_removal",
@@ -66,7 +64,6 @@ __all__ = [
     "certify_lattice_subset",
     "certify_lattice_subset_paired",
     "construct_interval_removal",
-    "subset_basis",
     "residue_orthogonal_basis",
     "complement_certificate",
     "associated_matrix",
@@ -140,26 +137,6 @@ def solve_beta(m: int) -> BetaSolution:
             hi = beta
     residual = abs(signed_sin_ratio(m, beta) - target)
     return BetaSolution(m=m, beta=beta, residual=residual, iterations=iterations)
-
-
-def unit_gap_coherence_bounded(m: int, t) -> bool:
-    """Check |sin(pi m t) / sin(pi (1/m - t))| < m sin(1/m) for 0 < t <= 1/(2 m^2)."""
-    tf = float(t)
-    if not 0.0 < tf <= 1.0 / (2 * m * m):
-        raise PreconditionError(f"t must lie in (0, 1/(2*{m}^2)], got {t}")
-    lhs = abs(math.sin(math.pi * m * tf) / math.sin(math.pi * (1.0 / m - tf)))
-    return lhs < m * math.sin(1.0 / m)
-
-
-def shifted_sine_ratio_increasing(n: int, u: float, grid: int = 10_000) -> bool:
-    """Probe that t -> sin(pi (t-u)/n) / sin(pi t/n) increases on (u, n/2)."""
-    if n < 2:
-        raise PreconditionError(f"n must be >= 2, got {n}")
-    if not 0.0 < u < n / 2.0:
-        raise PreconditionError(f"u must lie in (0, {n}/2), got {u}")
-    ts = [u + (n / 2.0 - u) * (i + 0.5) / (grid + 1) for i in range(grid + 1)]
-    vals = [math.sin(math.pi * (t - u) / n) / math.sin(math.pi * t / n) for t in ts]
-    return all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 # --- certificates ---------------------------------------------------------
@@ -452,19 +429,6 @@ def construct_interval_removal(n: int, m: int, delta) -> FrameCertificate:
         params={"N": n, "m": m, "delta": delta, "beta": beta.beta, "window": [lo, hi]},
         flags=_vacuity_flags(A),
     )
-
-
-# --- plain lattice subsets -------------------------------------------------
-
-def subset_basis(n: int, m: int, a: Sequence[int]) -> tuple[ExponentSystem, NodeMatrix]:
-    """Basis (no certified constants) with offsets j/N on any M < N distinct endpoints."""
-    if not 1 <= m < n:
-        raise PreconditionError(f"need 1 <= M < N, got M={m}, N={n}")
-    a = _validated_subset(n, m, a)
-    matrix = build_gamma([Fraction(j, n) for j in range(m)], a)
-    if is_singular(matrix):
-        raise VerificationError("distinct endpoints produced a singular matrix (unexpected)")
-    return ExponentSystem([Fraction(j, n) for j in range(m)], domain_scale=1), matrix
 
 
 def residue_orthogonal_basis(s: int, a: Sequence[int]) -> FrameCertificate:

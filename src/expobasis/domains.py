@@ -29,7 +29,6 @@ __all__ = [
     "fraction_to_json",
     "fraction_from_json",
     "lcd",
-    "rescale_system",
     "residues_distinct",
     "validated_intervals",
 ]
@@ -122,8 +121,7 @@ class ExponentSystem:
     """A union of integer-translate branches of exponentials.
 
     Branch ``j`` is the frequency set ``{(n + phi_j) / domain_scale : n in Z}``;
-    ``domain_scale`` tracks dilations so rescaling round-trips exactly when the
-    factor is rational.
+    ``domain_scale`` tracks a dilation of the domain, exactly.
     """
 
     branch_offsets: tuple[Fraction, ...]
@@ -173,26 +171,3 @@ def _json_number(v) -> Fraction:
         raise PreconditionError(f"a branch offset must be a finite number or a rational, got {v!r}")
     return Fraction(v)
 
-
-def rescale_system(
-    system: ExponentSystem,
-    rho,
-    constants: tuple[float, float] | None = None,
-):
-    """Dilate the underlying domain by rho.
-
-    Frequencies are divided by rho, i.e. ``domain_scale`` is multiplied by it;
-    attached frame constants scale by rho.  A translation would change
-    neither, so none is taken.
-
-    Returns the rescaled system, or ``(system, (A*rho, B*rho))`` when
-    ``constants`` is given.
-    """
-    rho = as_fraction(rho)
-    if rho <= 0:
-        raise PreconditionError(f"rho must be positive, got {rho}")
-    scaled = ExponentSystem(system.branch_offsets, system.domain_scale * rho)
-    if constants is None:
-        return scaled
-    a, b = constants
-    return scaled, (a * float(rho), b * float(rho))

@@ -46,10 +46,6 @@ class ClusterSizeError(PreconditionError):
     """A cluster is too large for the closed-form two-column spectrum."""
 
 
-class AngleConditionError(PreconditionError):
-    """L * alpha >= 1: the spectral sandwich does not apply."""
-
-
 class LatticeError(PreconditionError):
     """Frequencies do not lie in the required lattice (1/Delta) * Z."""
 

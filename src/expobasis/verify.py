@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,10 +39,6 @@ __all__ = [
     "gram_entry",
     "gram_matrix",
     "riesz_ratio_sample",
-    "bessel_restriction_sample",
-    "bessel_check_restriction",
-    "adaptive_simpson",
-    "intervals_contained",
     "VerificationReport",
     "verify_certificate",
     "RegressionResult",
@@ -249,103 +245,6 @@ def riesz_ratio_sample(
         lo = min(lo, _power_extreme(form.gram, v_lo, refine, largest=False))
         hi = max(hi, _power_extreme(form.gram, v_hi, refine, largest=True))
     return RatioSample(min_ratio=lo, max_ratio=hi, trials=trials, seed=seed, n_max=form.n_max)
-
-
-# --- band-limited restriction probe ----------------------------------------
-
-def intervals_contained(sub, sup) -> bool:
-    """Exact containment of one rational interval union in another."""
-    runs = _merged_runs(sup)
-    return all(
-        any(rlo <= lo and hi <= rhi for rlo, rhi in runs)
-        for lo, hi in validated_intervals(sub)
-    )
-
-
-_GL_NODES = 200
-
-
-def bessel_restriction_sample(
-    system: ExponentSystem, domain, sub,
-    n_max: int = 32, trials: int = 64, seed: int = DEFAULT_SEED,
-) -> RatioSample:
-    """Ratios sum_l |<f, e_l>|^2 / ||f||^2 for bumps supported inside ``sub``.
-
-    Probes are modulated near-Gaussian windows: sigma tied to the host piece
-    (widened if the truncated frequency set is too narrow-band), centered with
-    a 6.5 sigma margin so the cutoff at the window edge sits below 1e-9; the
-    spectral tail beyond n_max then stays orders of magnitude under the 1e-8
-    comparison tolerances.  Each trial takes two uniforms, the window centre's
-    and then the modulation's, from one ``np.random.default_rng(seed)``.
-    """
-    if seed < 0:
-        raise PreconditionError("need seed >= 0")
-    if not intervals_contained(sub, domain):
-        raise PreconditionError("restriction domain is not contained in the host domain")
-    pieces = validated_intervals(sub)
-    freqs = np.asarray(system.frequencies(n_max), dtype=float)
-    bandwidth = (n_max - 1) / float(system.domain_scale)
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
-    rng = np.random.default_rng(seed)
-    lo_r = math.inf
-    hi_r = -math.inf
-    for trial in range(trials):
-        p_lo, p_hi = pieces[trial % len(pieces)]
-        length = float(p_hi - p_lo)
-        sigma = length / 16.0
-        if 4.8 / (2.0 * math.pi * sigma) > bandwidth:
-            sigma = 4.8 / (2.0 * math.pi * bandwidth)
-        if sigma > length / 13.5:
-            raise PreconditionError(
-                f"n_max = {n_max} is too narrow-band to probe a piece of length {length}"
-            )
-        margin = 6.5 * sigma
-        theta_max = min(4.0, bandwidth - 4.8 / (2.0 * math.pi * sigma))
-        center = float(p_lo) + margin + (length - 2.0 * margin) * rng.random()
-        theta = theta_max * (2.0 * rng.random() - 1.0)
-        x = center + margin * nodes  # window [center - margin, center + margin]
-        w = margin * weights
-        f = np.exp(-((x - center) ** 2) / (2.0 * sigma * sigma) + 2j * np.pi * theta * x)
-        norm2 = float(np.sum(w * np.abs(f) ** 2))
-        # <f, e_lambda> = integral f(x) e^{-2 pi i lambda x} dx, all lambdas at once
-        inner = (w * f) @ np.exp(-2j * np.pi * np.outer(x, freqs))
-        ratio = float(np.sum(np.abs(inner) ** 2)) / norm2
-        lo_r = min(lo_r, ratio)
-        hi_r = max(hi_r, ratio)
-    return RatioSample(min_ratio=lo_r, max_ratio=hi_r, trials=trials, seed=seed, n_max=n_max)
-
-
-def bessel_check_restriction(
-    system: ExponentSystem, domain, sub, lower: float, upper: float,
-    n_max: int = 32, trials: int = 64, seed: int = DEFAULT_SEED, tol: float = 1e-8,
-) -> bool:
-    """True when every sampled restriction ratio lies in [lower - tol, upper + tol]."""
-    sample = bessel_restriction_sample(system, domain, sub, n_max=n_max, trials=trials, seed=seed)
-    return lower - tol <= sample.min_ratio and sample.max_ratio <= upper + tol
-
-
-# --- quadrature oracle ------------------------------------------------------
-
-def adaptive_simpson(f: Callable[[float], complex], a: float, b: float,
-                     tol: float = 1e-12, max_depth: int = 40) -> complex:
-    """Adaptive Simpson quadrature (works for complex-valued integrands)."""
-    def simp(x0, f0, x1, f1, x2, f2):
-        return (x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0
-
-    def rec(x0, f0, x2, f2, x4, f4, whole, tol, depth):
-        x1, x3 = 0.5 * (x0 + x2), 0.5 * (x2 + x4)
-        f1, f3 = f(x1), f(x3)
-        left = simp(x0, f0, x1, f1, x2, f2)
-        right = simp(x2, f2, x3, f3, x4, f4)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (rec(x0, f0, x1, f1, x2, f2, left, 0.5 * tol, depth - 1)
-                + rec(x2, f2, x3, f3, x4, f4, right, 0.5 * tol, depth - 1))
-
-    a, b = float(a), float(b)
-    mid = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(mid), f(b)
-    return rec(a, fa, mid, fm, b, fb, simp(a, fa, mid, fm, b, fb), tol, max_depth)
 
 
 # --- certificate verification ----------------------------------------------

@@ -13,11 +13,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import record_acceptance
+from conftest import oscillatory_integral, record_acceptance
 from expobasis import (
     GramForm,
     RankDeficientError,
-    adaptive_simpson,
     associated_matrix,
     certify_lattice_subset,
     cluster_spectrum,
@@ -311,15 +310,6 @@ def _random_union(rng):
     return tuple((e, e + 1) for e in endpoints)
 
 
-def _oscillatory_integral(nu, a, b):
-    """Quadrature of e^{2 pi i nu x} with panels shorter than a half-period,
-    so the adaptive splitter cannot alias against the oscillation."""
-    f = lambda x: complex(math.cos(2 * math.pi * nu * x), math.sin(2 * math.pi * nu * x))
-    panels = int(2 * abs(nu) * (b - a)) + 3
-    cuts = [a + (b - a) * j / panels for j in range(panels + 1)]
-    return sum(adaptive_simpson(f, x0, x1, 1e-13) for x0, x1 in zip(cuts, cuts[1:]))
-
-
 def test_criterion_9_gram_form_consistency():
     start = time.perf_counter()
     rng = np.random.default_rng(900)
@@ -327,7 +317,7 @@ def test_criterion_9_gram_form_consistency():
     for _ in range(500):
         union = _random_union(rng)
         lam, mu = rng.uniform(-6, 6, size=2)
-        direct = sum(_oscillatory_integral(lam - mu, float(a), float(b))
+        direct = sum(oscillatory_integral(lam - mu, float(a), float(b))
                      for a, b in union)
         worst = max(worst, abs(gram_entry(lam, mu, union) - direct))
 

@@ -228,6 +228,18 @@ def test_unreadable_input_is_a_named_error(run, tmp_path):
     assert err.startswith("error [PreconditionError]")
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "residue-orthogonal", "--s", "1", "--a", "0"],
+    ["regress"],
+    ["beta", "--M", "2"],
+], ids=["certify", "regress", "beta"])
+def test_unwritable_output_is_a_named_error(run, tmp_path, argv):
+    code, out, err = run(argv + ["--output", str(tmp_path / "missing" / "x.json")])
+    assert code == 1 and out == ""
+    assert err.startswith("error [PreconditionError]: cannot write output")
+    assert "Traceback" not in err
+
+
 def test_precondition_failures_are_exit_one(run):
     code, _, err = run(["certify", "lattice-subset", "--N", "12", "--M", "3",
                         "--u", "1", "--a", "0,1,6"])

@@ -1,4 +1,4 @@
-"""Coherence clustering and the two-sided cluster spectrum sandwich."""
+"""Coherence clustering, closed-form cluster spectra and exact principal angles."""
 
 import math
 from fractions import Fraction
@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from expobasis import (
-    AngleConditionError,
     ClusterSizeError,
     PreconditionError,
     RankDeficientError,
@@ -18,7 +17,6 @@ from expobasis import (
     partition_by_coherence,
     principal_angle_check,
     progression_matrix,
-    sandwich,
     singular_values,
 )
 
@@ -100,43 +98,15 @@ def test_triple_cluster_has_no_closed_form():
         cluster_spectrum(part, 0)
 
 
-# --- sandwich ---------------------------------------------------------------------
-
-def test_all_singleton_sandwich_is_tight():
-    part = partition_by_coherence(range(5), Fraction(1, 5), 5)
-    sw = sandwich(part)
-    np.testing.assert_allclose(sw.lower, [math.sqrt(5)] * 5, atol=1e-9)
-    np.testing.assert_allclose(sw.upper, [math.sqrt(5)] * 5, atol=1e-9)
-    spec = singular_values(progression_matrix(range(5), Fraction(1, 5)))
-    assert sw.contains(spec.values, tol=1e-9)
-
-
-def test_sandwich_contains_oracle_on_mildly_coupled_block():
-    spacing = 1.0 / 3 - 0.08
-    part = partition_by_coherence([0, 1, 2], spacing, 3)
-    node_sets = {frozenset(part.nodes[i] for i in c) for c in part.clusters}
-    assert node_sets == {frozenset({0, 2}), frozenset({1})}
-    sw = sandwich(part)
-    spec = singular_values(progression_matrix([0, 1, 2], spacing))
-    assert sw.contains(spec.values, tol=1e-8)
-    assert len(sw.lower) == len(sw.upper) == 3
-
-
-def test_sandwich_needs_small_angle():
-    # singletons with cross-coherence 1.88 out of L=2: alpha*L well above 1
-    part = partition_by_coherence([0, 1], 0.1106, 2, threshold=1.9)
-    assert part.max_cluster_size == 1
-    with pytest.raises(AngleConditionError):
-        sandwich(part)
-
+# --- the pairwise angle against the exact one ------------------------------------
 
 def test_pairwise_alpha_can_understate_subspace_overlap():
-    """Frozen instance where the coherence-based sandwich misses the oracle.
+    """Frozen instance where the pairwise angle understates the overlap.
 
     Nodes 0..2 and 4..6 at spacing 1/6 + 0.0015 produce one aliased pair
     {0, 6} whose near-null direction leans much further into the remaining
-    columns than arcsin(cross/L) suggests.  The sandwich brackets every
-    singular value except the smallest; the exact principal angle correctly
+    columns than arcsin(cross/L) suggests: a sandwich built on the pairwise
+    alpha would miss the smallest singular value.  The exact principal angle
     reports the overlap (and takes itself out of scope: L*alpha_exact >= 1).
     """
     spacing = 1.0 / 6 + 0.0015
@@ -147,11 +117,8 @@ def test_pairwise_alpha_can_understate_subspace_overlap():
     assert part.cross_coherence == pytest.approx(0.29387615391763017, abs=1e-12)
     assert 6 * part.alpha == pytest.approx(0.2939937813308142, abs=1e-12)
 
-    sw = sandwich(part)
     spec = singular_values(progression_matrix(nodes, spacing))
     assert spec.sigma_min == pytest.approx(0.045713247744494624, abs=1e-12)
-    assert sw.lower[-1] == pytest.approx(0.1404553969710265, abs=1e-12)
-    assert not sw.contains(spec.values, tol=1e-8)
 
     alpha_exact = math.pi / 2 - principal_angle_check(part)
     assert alpha_exact == pytest.approx(0.6493676487896598, abs=1e-12)

@@ -31,14 +31,11 @@ from expobasis import (
     progression_matrix,
     residue_orthogonal_basis,
     separation_margin,
-    shifted_sine_ratio_increasing,
     signed_sin_ratio,
     sin_ratio,
     singular_values,
     solve_beta,
-    subset_basis,
     threshold_u,
-    unit_gap_coherence_bounded,
     verify_certificate,
 )
 from expobasis import certificate_from_json, certificate_to_json
@@ -95,29 +92,6 @@ def test_solve_beta_residual_and_range(m):
 def test_solve_beta_rejects_small_m():
     with pytest.raises(PreconditionError):
         solve_beta(1)
-
-
-# --- scalar monotonicity helpers ----------------------------------------------------
-
-def test_unit_gap_coherence_bounded():
-    assert unit_gap_coherence_bounded(2, Fraction(1, 8))
-    assert unit_gap_coherence_bounded(10, Fraction(1, 200))
-    with pytest.raises(PreconditionError):
-        unit_gap_coherence_bounded(3, 0.5)
-
-
-@given(st.integers(2, 50), st.floats(1e-6, 1.0))
-@settings(max_examples=40, deadline=None)
-def test_unit_gap_coherence_holds_on_window(m, frac):
-    t = frac / (2 * m * m)
-    assert unit_gap_coherence_bounded(m, t)
-
-
-def test_shifted_sine_ratio_increasing():
-    assert shifted_sine_ratio_increasing(12, 1)
-    assert shifted_sine_ratio_increasing(5, 2)
-    with pytest.raises(PreconditionError):
-        shifted_sine_ratio_increasing(4, 2)  # u must sit strictly inside (0, n/2)
 
 
 # --- perturbed unions ------------------------------------------------------------------
@@ -359,27 +333,6 @@ def test_interval_removal_certifies_across_windows(n):
 
 
 # --- plain bases -------------------------------------------------------------------------------
-
-def test_subset_basis_golden_pair():
-    system, matrix = subset_basis(5, 2, [0, 1])
-    assert not singular_values(matrix).is_singular
-    lo, hi = optimal_frame_constants(matrix)
-    # Gram eigenvalues 2 +- |1 + e^{2 pi i/5}| = 2 -+ golden ratio.
-    assert lo == pytest.approx((3 - math.sqrt(5)) / 2, abs=1e-12)
-    assert hi == pytest.approx((5 + math.sqrt(5)) / 2, abs=1e-12)
-
-
-def test_subset_basis_orthogonal_pair():
-    _, matrix = subset_basis(4, 2, [0, 2])
-    assert optimal_frame_constants(matrix) == pytest.approx((2.0, 2.0), abs=1e-12)
-
-
-def test_subset_basis_preconditions():
-    with pytest.raises(PreconditionError):
-        subset_basis(5, 2, [0, 0])
-    with pytest.raises(PreconditionError):
-        subset_basis(3, 3, [0, 1, 2])
-
 
 @pytest.mark.parametrize("s, a", [(1, [0]), (2, [0, 3]), (4, [0, 1, 2, 3])])
 def test_residue_orthogonal_basis(s, a):

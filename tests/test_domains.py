@@ -16,7 +16,6 @@ from expobasis import (
     certificate_from_json,
     certificate_to_json,
     lcd,
-    rescale_system,
     residues_distinct,
     validated_intervals,
 )
@@ -293,29 +292,3 @@ def test_system_json_round_trip():
     # documents that stored an offset as a plain number still read, exactly
     doc["branch_offsets"][1] = 0.51
     assert ExponentSystem.from_json(doc) == back
-
-
-# --- rescaling -----------------------------------------------------------------
-
-def test_rescale_halves_domain_and_constants():
-    sys_ = ExponentSystem((Fraction(0), Fraction(1, 2)), domain_scale=Fraction(1))
-    scaled, (a, b) = rescale_system(sys_, Fraction(1, 2), constants=(2.0, 2.0))
-    assert scaled.domain_scale == Fraction(1, 2)
-    # frequencies of the dilated system are the originals divided by rho
-    assert scaled.frequencies(1) == [2 * f for f in sys_.frequencies(1)]
-    assert (a, b) == (1.0, 1.0)
-
-
-@given(st.fractions(min_value=Fraction(1, 8), max_value=Fraction(8), max_denominator=8))
-def test_rescale_round_trip(rho):
-    sys_ = ExponentSystem((Fraction(0), Fraction(1, 3)), domain_scale=Fraction(1))
-    there = rescale_system(sys_, rho)
-    back = rescale_system(there, 1 / rho)
-    assert back.domain_scale == sys_.domain_scale
-    assert back.branch_offsets == sys_.branch_offsets
-
-
-def test_rescale_rejects_nonpositive_rho():
-    sys_ = ExponentSystem((Fraction(0),), domain_scale=Fraction(1))
-    with pytest.raises(PreconditionError):
-        rescale_system(sys_, 0)

@@ -41,6 +41,20 @@ def test_coincident_pair_spectrum_is_singular():
     assert is_singular(m)
 
 
+def test_golden_pair_constants():
+    matrix = progression_matrix([0, 1], Fraction(1, 5))
+    assert not singular_values(matrix).is_singular
+    lo, hi = optimal_frame_constants(matrix)
+    # Gram eigenvalues 2 +- |1 + e^{2 pi i/5}| = 2 -+ golden ratio.
+    assert lo == pytest.approx((3 - math.sqrt(5)) / 2, abs=1e-12)
+    assert hi == pytest.approx((5 + math.sqrt(5)) / 2, abs=1e-12)
+
+
+def test_orthogonal_progression_pair_constants():
+    matrix = progression_matrix([0, 2], Fraction(1, 4))
+    assert optimal_frame_constants(matrix) == pytest.approx((2.0, 2.0), abs=1e-12)
+
+
 def test_one_by_one():
     spec = singular_values(np.array([[1.0 + 0j]]))
     assert spec.values == (1.0,)

@@ -1,6 +1,5 @@
 """Gram-form oracles, randomized ratio sampling, and certificate verification."""
 
-import cmath
 import math
 import tracemalloc
 from fractions import Fraction
@@ -9,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import oscillatory_integral
 from expobasis import (
     DEFAULT_SEED,
     ExponentSystem,
@@ -16,16 +16,12 @@ from expobasis import (
     GramForm,
     PreconditionError,
     RatioSample,
-    adaptive_simpson,
-    bessel_check_restriction,
-    bessel_restriction_sample,
     complement_certificate,
     construct_interval_removal,
     construct_perturbed_union,
     delta_window_interval_removal,
     gram_entry,
     gram_matrix,
-    intervals_contained,
     regression_examples,
     residue_orthogonal_basis,
     riesz_ratio_sample,
@@ -63,15 +59,7 @@ def test_gram_entry_is_hermitian():
 @given(st.floats(-4, 4), st.floats(-4, 4))
 @settings(max_examples=30, deadline=None)
 def test_gram_entry_matches_quadrature(lam, mu):
-    nu = lam - mu
-    direct = 0j
-    for a, b in SPLIT:
-        # pre-split below the half-period so adaptive Simpson cannot alias
-        panels = int(2 * abs(nu)) + 3
-        cuts = [float(a) + (float(b) - float(a)) * j / panels for j in range(panels + 1)]
-        direct += sum(adaptive_simpson(lambda x: cmath.exp(2j * math.pi * nu * x),
-                                       x0, x1, 1e-13)
-                      for x0, x1 in zip(cuts, cuts[1:]))
+    direct = sum(oscillatory_integral(lam - mu, float(a), float(b)) for a, b in SPLIT)
     assert gram_entry(lam, mu, SPLIT) == pytest.approx(direct, abs=1e-10)
 
 
@@ -321,75 +309,6 @@ def test_batched_sample_matches_per_trial_loop(refine, trials):
         lo, hi = _looped_sample(form, trials, 11, refine)
         assert sample.min_ratio == pytest.approx(lo, rel=1e-12)
         assert sample.max_ratio == pytest.approx(hi, rel=1e-12)
-
-
-# --- restriction (Bessel-type) sampling ----------------------------------------------
-
-def test_full_integer_system_restricts_with_flat_ratio():
-    system = ExponentSystem((Fraction(0),), domain_scale=Fraction(3))
-    host = ((Fraction(0), Fraction(3)),)
-    sub = ((Fraction(0), Fraction(1)), (Fraction(2), Fraction(3)))
-    sample = bessel_restriction_sample(system, host, sub, n_max=32, trials=16, seed=3)
-    assert sample.min_ratio == pytest.approx(3.0, abs=1e-8)
-    assert sample.max_ratio == pytest.approx(3.0, abs=1e-8)
-    assert bessel_check_restriction(system, host, sub, 3.0, 3.0,
-                                    n_max=32, trials=16, seed=3)
-
-
-def test_restriction_to_whole_domain_is_identity():
-    system = ExponentSystem((Fraction(0),), domain_scale=Fraction(3))
-    host = ((Fraction(0), Fraction(3)),)
-    sample = bessel_restriction_sample(system, host, host, n_max=32, trials=8, seed=3)
-    assert sample.min_ratio == pytest.approx(3.0, abs=1e-8)
-
-
-def test_restriction_of_unit_fourier_to_half_interval():
-    system = ExponentSystem((Fraction(0),), domain_scale=Fraction(1))
-    host = ((Fraction(0), Fraction(1)),)
-    sub = ((Fraction(0), Fraction(1, 2)),)
-    sample = bessel_restriction_sample(system, host, sub, n_max=32, trials=16, seed=3)
-    assert sample.min_ratio == pytest.approx(1.0, abs=1e-8)
-    assert sample.max_ratio == pytest.approx(1.0, abs=1e-8)
-
-
-def test_restriction_sample_seeds_share_no_trials():
-    # a piece of length 3 under unit-spaced branches: the ratio varies with the probe
-    system = ExponentSystem((Fraction(0), Fraction(1, 3)), domain_scale=Fraction(1))
-    host = ((Fraction(0), Fraction(3)),)
-    one, two = (bessel_restriction_sample(system, host, host, n_max=32, trials=16, seed=seed)
-                for seed in (3, 4))
-    assert one.min_ratio != two.min_ratio and one.max_ratio != two.max_ratio
-
-
-def test_restriction_preconditions():
-    system = ExponentSystem((Fraction(0),), domain_scale=Fraction(1))
-    host = ((Fraction(0), Fraction(1)),)
-    with pytest.raises(PreconditionError):
-        bessel_restriction_sample(system, host, ((Fraction(0), Fraction(2)),))
-    with pytest.raises(PreconditionError):
-        bessel_restriction_sample(system, host, ((Fraction(0), Fraction(1, 2)),), n_max=2)
-    with pytest.raises(PreconditionError, match="seed >= 0"):
-        bessel_restriction_sample(system, host, host, seed=-1)
-
-
-def test_intervals_contained():
-    host = ((Fraction(0), Fraction(3)),)
-    sub = ((Fraction(0), Fraction(1)), (Fraction(2), Fraction(3)))
-    assert intervals_contained(sub, host)
-    assert not intervals_contained(host, sub)
-    # adjacent pieces of the cover merge
-    assert intervals_contained(((Fraction(0), Fraction(2)),),
-                               ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(2))))
-
-
-# --- quadrature ---------------------------------------------------------------------------
-
-def test_adaptive_simpson_known_integrals():
-    assert adaptive_simpson(lambda x: x * x, 0.0, 1.0, 1e-12) == pytest.approx(1 / 3, abs=1e-12)
-    osc = adaptive_simpson(lambda x: cmath.exp(2j * math.pi * 3 * x), 0.0, 1.0, 1e-12)
-    assert abs(osc) < 1e-11
-    mixed = adaptive_simpson(lambda x: cmath.exp(2j * math.pi * 0.5 * x), 0.0, 1.0, 1e-12)
-    assert mixed == pytest.approx(complex(0, 2 / math.pi), abs=1e-11)
 
 
 # --- certificate verification ----------------------------------------------------------------
