@@ -101,7 +101,7 @@ def partition_by_coherence(
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    clusters = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: g[0]))
+    clusters = tuple([tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: g[0])])
 
     cross = 0.0
     for a, ca in enumerate(clusters):
@@ -115,7 +115,7 @@ def partition_by_coherence(
     )
     return ClusterPartition(
         clusters=clusters,
-        nodes=tuple(int(v) for v in nodes),
+        nodes=tuple([int(v) for v in nodes]),
         spacing=spacing,
         length=length,
         threshold=tau,

@@ -173,7 +173,7 @@ class FrameCertificate:
 
 
 def _unit_intervals(endpoints: Sequence[int]) -> tuple[Interval, ...]:
-    return tuple((Fraction(e), Fraction(e) + 1) for e in endpoints)
+    return tuple([(Fraction(e), Fraction(e) + 1) for e in endpoints])
 
 
 def _vacuity_flags(a: float) -> tuple[str, ...]:
@@ -258,7 +258,7 @@ def construct_perturbed_union(s: int, a: Sequence[int], eps: Sequence, delta) ->
         A=A,
         B=B,
         system=system,
-        domain_intervals=tuple((a_j + e_j, a_j + e_j + 1) for a_j, e_j in zip(a, eps)),
+        domain_intervals=tuple([(a_j + e_j, a_j + e_j + 1) for a_j, e_j in zip(a, eps)]),
         params={
             "s": s,
             "a": list(a),
@@ -459,7 +459,7 @@ def _complement_intervals(delta: Fraction, pieces: Sequence[Interval]) -> tuple[
     if pieces[0][0] < 0 or pieces[-1][1] > delta:
         raise PreconditionError(f"domain escapes [0, {delta})")
     cuts = [Fraction(0)] + [x for piece in pieces for x in piece] + [delta]
-    return tuple((lo, hi) for lo, hi in zip(cuts[::2], cuts[1::2]) if lo < hi)
+    return tuple([(lo, hi) for lo, hi in zip(cuts[::2], cuts[1::2]) if lo < hi])
 
 
 def complement_certificate(delta_total, cert: FrameCertificate) -> FrameCertificate:
@@ -603,9 +603,9 @@ def certificate_from_json(doc: dict) -> FrameCertificate:
     if doc.get("schema") != "v1":
         raise PreconditionError(f"unsupported schema {doc.get('schema')!r}")
     return FrameCertificate(
-        domain_intervals=_read(doc, "domain", lambda d: tuple(
+        domain_intervals=_read(doc, "domain", lambda d: tuple([
             (fraction_from_json(iv["start"]), fraction_from_json(iv["end"]))
-            for iv in d["intervals"])),
+            for iv in d["intervals"]])),
         method=_read(doc, "method", lambda m: m),
         A=_read(doc, "A", _real),
         B=_read(doc, "B", _real),

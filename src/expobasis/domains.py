@@ -96,7 +96,7 @@ def lcd(values: Iterable[RationalLike | float]) -> int:
     fracs = [as_fraction(v) for v in values]
     if not fracs:
         raise PreconditionError("lcd of an empty collection")
-    return lcm(*(f.denominator for f in fracs))
+    return lcm(*[f.denominator for f in fracs])
 
 
 def residues_distinct(endpoints: Sequence[int], modulus: int) -> bool:
@@ -128,7 +128,7 @@ class ExponentSystem:
     domain_scale: Fraction = field(default=Fraction(1))
 
     def __init__(self, branch_offsets: Iterable, domain_scale=Fraction(1)):
-        offs = tuple(as_fraction(phi) for phi in branch_offsets)
+        offs = tuple([as_fraction(phi) for phi in branch_offsets])
         if not offs:
             raise PreconditionError("a system needs at least one branch")
         if not _wrapped_offsets_distinct(offs):

@@ -1,16 +1,14 @@
 """Singular-value oracle for node matrices.
 
-A one-sided (Hestenes) cyclic Jacobi iteration orthogonalizes the columns of
-Gamma in place; the singular values are the final column norms.  Working on
-the columns rather than on the Hermitian product Gamma* Gamma keeps tiny
-singular values resolvable down to machine precision times sigma_max, which
-the singularity threshold (1e-10 relative) relies on.  The sweep order is
-fixed, so results are deterministic for a fixed input.
+The singular values of Gamma come from the LAPACK SVD (``np.linalg.svd``).
+It is backward stable, so every singular value is exact to about machine
+precision times sigma_max.  That is all the singularity threshold (1e-10
+relative to sigma_max) needs; relative accuracy on tiny singular values is
+not used.  For a fixed input the result is deterministic.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,9 +19,6 @@ from .vandermonde import NodeMatrix
 
 __all__ = ["Condition", "SingularSpectrum", "singular_values", "optimal_frame_constants", "is_singular"]
 
-#: convergence: off-diagonal Frobenius norm of the implicit Gram vs 1e-14 * ||G||_F
-OFF_DIAGONAL_TOL = 1e-14
-MAX_SWEEPS = 60
 #: sigma_min < SINGULAR_RTOL * sigma_max flags the matrix as numerically singular
 SINGULAR_RTOL = 1e-10
 
@@ -53,49 +48,6 @@ class SingularSpectrum:
         return self.condition is Condition.NUMERICALLY_SINGULAR
 
 
-def _jacobi_column_norms(a: np.ndarray) -> np.ndarray:
-    """Orthogonalize the columns of ``a`` in place; return final squared norms.
-
-    Parameters
-    ----------
-    a : (L, L) complex ndarray, overwritten.
-
-    Notes
-    -----
-    Each pair (p, q) is rotated through the exact 2x2 Hermitian eigenproblem of
-    its Gram block.  A sweep visits pairs in fixed lexicographic order; the
-    iteration stops once sqrt(2 * sum |<c_p, c_q>|^2) <= 1e-14 * ||Gram||_F or
-    after 60 sweeps.
-    """
-    L = a.shape[1]
-    for _ in range(MAX_SWEEPS):
-        sq = np.real(np.einsum("ij,ij->j", a.conj(), a))
-        off2 = 0.0
-        for p in range(L - 1):
-            g_row = a[:, p].conj() @ a[:, p + 1 :]
-            off2 += float(np.sum(np.abs(g_row) ** 2))
-        gram_f = math.sqrt(float(np.sum(sq**2)) + 2.0 * off2)
-        if math.sqrt(2.0 * off2) <= OFF_DIAGONAL_TOL * gram_f or gram_f == 0.0:
-            break
-        for p in range(L - 1):
-            for q in range(p + 1, L):
-                app = float(np.real(np.vdot(a[:, p], a[:, p])))
-                aqq = float(np.real(np.vdot(a[:, q], a[:, q])))
-                apq = complex(np.vdot(a[:, p], a[:, q]))
-                mag = abs(apq)
-                if mag <= 1e-300 or mag <= 1e-16 * math.sqrt(app * aqq):
-                    continue
-                phase = apq / mag
-                tau = (aqq - app) / (2.0 * mag)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = c * t
-                cp = a[:, p].copy()
-                a[:, p] = c * cp - s * np.conj(phase) * a[:, q]
-                a[:, q] = s * phase * cp + c * a[:, q]
-    return np.real(np.einsum("ij,ij->j", a.conj(), a))
-
-
 def singular_values(matrix: NodeMatrix | np.ndarray) -> SingularSpectrum:
     """Full singular spectrum of a node matrix.
 
@@ -114,11 +66,7 @@ def singular_values(matrix: NodeMatrix | np.ndarray) -> SingularSpectrum:
         raise PreconditionError(f"oracle needs a square matrix, got shape {entries.shape}")
     if not np.all(np.isfinite(entries.view(float))):
         raise PreconditionError("matrix has non-finite entries")
-    work = entries.astype(np.complex128, copy=True)
-    norms_sq = _jacobi_column_norms(work)
-    sigmas = np.sqrt(np.maximum(norms_sq, 0.0))
-    order = np.argsort(sigmas)[::-1]
-    values = tuple(float(s) for s in sigmas[order])
+    values = tuple(np.linalg.svd(entries, compute_uv=False).tolist())
     smax = values[0]
     singular = smax == 0.0 or values[-1] < SINGULAR_RTOL * smax
     return SingularSpectrum(

@@ -82,7 +82,7 @@ def build_gamma(deltas: Sequence, nodes: Sequence[int]) -> NodeMatrix:
     return NodeMatrix(
         entries=unit_phases(deltas, ordered),
         nodes=tuple(ordered),
-        deltas=tuple(finite_float(d, "an offset") for d in deltas),
+        deltas=tuple([finite_float(d, "an offset") for d in deltas]),
     )
 
 

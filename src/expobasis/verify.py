@@ -2,13 +2,13 @@
 
 Everything here deliberately avoids the singular-value oracle's machinery so
 that certificates are checked by two unrelated routes: exact closed-form Gram
-matrices probed with random coefficients, and (where a node matrix exists) the
-Jacobi spectrum.  Every domain argument goes through ``validated_intervals``,
-the rule each certificate already obeys.  Gram phases are reduced mod 1 in
-exact arithmetic, from the exact frequencies of ``ExponentSystem``, so large
-endpoints or frequencies cost no accuracy.  Sampling is deterministic: each
-sample draws its trials, in order, from one ``np.random.default_rng(seed)``
-stream, so distinct seeds share no trials.
+matrices probed with random coefficients, and (where a node matrix exists) its
+LAPACK SVD (``np.linalg.svd``) spectrum.  Every domain argument goes through
+``validated_intervals``, the rule each certificate already obeys.  Gram
+phases are reduced mod 1 in exact arithmetic, from the exact frequencies of
+``ExponentSystem``, so large endpoints or frequencies cost no accuracy.
+Sampling is deterministic: each sample draws its trials, in order, from one
+``np.random.default_rng(seed)`` stream, so distinct seeds share no trials.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""One-sided Jacobi singular values against closed forms and numpy."""
+"""LAPACK SVD (`np.linalg.svd`) singular values against closed forms and independent references."""
 
 import math
 from fractions import Fraction
@@ -68,14 +68,41 @@ def test_root_of_unity_matrix_has_flat_spectrum(s):
     np.testing.assert_allclose(spec.values, [math.sqrt(s)] * s, atol=1e-10)
 
 
-def test_matches_numpy_svd():
+def test_matches_independent_references():
     rng = np.random.default_rng(7)
     for _ in range(30):
         size = int(rng.integers(1, 11))
-        m = random_gamma(rng, size)
+        m = random_gamma(rng, size).entries
         mine = np.array(singular_values(m).values)
-        ref = np.linalg.svd(m.entries, compute_uv=False)
-        np.testing.assert_allclose(mine, ref, atol=1e-10 * max(1.0, ref[0]))
+        smax = mine[0]
+        # square roots of the eigenvalues of the Hermitian product, descending
+        eig = np.sqrt(np.clip(np.linalg.eigvalsh(m.conj().T @ m), 0.0, None))[::-1]
+        np.testing.assert_allclose(mine, eig, rtol=0, atol=1e-10 * smax)
+        assert np.sum(mine**2) == pytest.approx(np.linalg.norm(m, "fro") ** 2, rel=1e-12)
+        assert np.prod(mine) == pytest.approx(abs(np.linalg.det(m)), rel=1e-10, abs=1e-12 * smax**size)
+
+
+@pytest.mark.parametrize("delta, singular", [(Fraction(1, 10**12), True), (Fraction(1, 10**8), False)],
+                         ids=["ratio_1e-12", "ratio_1e-8"])
+def test_singularity_threshold_on_a_near_coincident_pair(delta, singular):
+    # Gamma = [[1, 1], [1, e^{2 pi i delta}]]: sigma^2 = 2 -+ 2 cos(pi delta),
+    # so sigma_min / sigma_max = tan(pi delta / 2), about 1.6e-12 and 1.6e-8 here.
+    matrix = progression_matrix([0, 1], delta)
+    spec = singular_values(matrix)
+    ratio = spec.sigma_min / spec.sigma_max
+    assert ratio == pytest.approx(math.tan(math.pi * float(delta) / 2), rel=1e-3)
+    assert spec.condition is (Condition.NUMERICALLY_SINGULAR if singular else Condition.NONSINGULAR)
+    assert is_singular(matrix) is singular
+
+
+def test_input_is_left_unchanged():
+    rng = np.random.default_rng(17)
+    m = random_gamma(rng, 6)
+    array = m.entries.copy()
+    singular_values(m)
+    singular_values(array)
+    assert np.array_equal(m.entries, array)
+    assert np.array_equal(array, random_gamma(np.random.default_rng(17), 6).entries)
 
 
 def test_values_sorted_descending_and_deterministic():
