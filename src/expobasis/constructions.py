@@ -28,6 +28,7 @@ from .domains import (
     ExponentSystem,
     Interval,
     as_fraction,
+    finite_float,
     fraction_from_json,
     fraction_to_json,
     lcd,
@@ -207,6 +208,16 @@ def _validated_perturbation(s: int, a: Sequence[int], eps: Sequence) -> tuple[li
     return a, eps
 
 
+def _approx(x: Fraction) -> str:
+    """``str(float(x))`` for a message; past the float range, where float()
+    raises, the leading digits of x in e-notation."""
+    try:
+        return str(float(x))
+    except OverflowError:
+        digits = str(abs(x.numerator) // x.denominator)
+        return f"{'-' if x < 0 else ''}{digits[0]}.{digits[1:7]}e+{len(digits) - 1}"
+
+
 def delta_window_perturbed_union(s: int, a: Sequence[int], eps: Sequence):
     """Admissible |delta| window [lo, hi] plus (N, m, beta) for these inputs.
 
@@ -245,7 +256,7 @@ def construct_perturbed_union(s: int, a: Sequence[int], eps: Sequence, delta) ->
     delta = as_fraction(delta)
     if not lo <= abs(delta) <= hi:
         raise DeltaWindowError(
-            f"|delta| = {float(abs(delta))} outside [{float(lo)}, {hi}] for (s={s}, N={n}, m={m})"
+            f"|delta| = {_approx(abs(delta))} outside [{float(lo)}, {hi}] for (s={s}, N={n}, m={m})"
         )
     big_m = s * n
     ratio = math.sin(math.pi / (2 * n * m)) / math.sin(math.pi / (2 * s * n * n * m))
@@ -413,7 +424,7 @@ def construct_interval_removal(n: int, m: int, delta) -> FrameCertificate:
     delta = as_fraction(delta)
     if not lo < delta < hi:
         raise DeltaWindowError(
-            f"delta = {float(delta)} outside the open window ({float(lo)}, {hi}) for N = {n}")
+            f"delta = {_approx(delta)} outside the open window ({float(lo)}, {hi}) for N = {n}")
     envelope = big_m * math.sin(1.0 / big_m)
     spread = 1.0 / math.sin(math.pi / (2 * big_m))
     A = (1.0 - envelope) * (big_m - spread)
@@ -474,7 +485,7 @@ def complement_certificate(delta_total, cert: FrameCertificate) -> FrameCertific
     delta_total = as_fraction(delta_total)
     if delta_total <= 0:
         raise PreconditionError(f"Delta must be positive, got {delta_total}")
-    if cert.B >= float(delta_total):
+    if cert.B >= delta_total:
         raise ComplementRangeError(f"need B < Delta, got B = {cert.B}, Delta = {delta_total}")
     q = delta_total / cert.system.domain_scale
     if q.denominator != 1 or q < 1:
@@ -488,14 +499,19 @@ def complement_certificate(delta_total, cert: FrameCertificate) -> FrameCertific
         if r.denominator != 1:
             raise LatticeError(f"branch offset {phi} is not a multiple of 1/{q}")
         residues.add(int(r) % q)
+    if q - len(residues) > MAX_MATRIX_ROWS:
+        raise PreconditionError(
+            f"complement too large: Delta/domain_scale = {_approx(q)} leaves more than "
+            f"MAX_MATRIX_ROWS = {MAX_MATRIX_ROWS} branches, more than either route can check")
     remaining = [r for r in range(q) if r not in residues]
     if not remaining:
         raise ComplementRangeError("complement is empty: the system fills the whole lattice")
     comp_intervals = _complement_intervals(delta_total, cert.domain_intervals)
     if not comp_intervals:
         raise ComplementRangeError("complement domain is empty")
-    a_new = float(delta_total) - cert.B
-    b_new = float(delta_total) - cert.A
+    delta_f = finite_float(delta_total, "Delta")
+    a_new = delta_f - cert.B
+    b_new = delta_f - cert.A
     return FrameCertificate(
         method="complement",
         A=a_new,

@@ -1,13 +1,17 @@
 """Independent verification: Gram quadratic forms, ratio sampling, regressions.
 
 Everything here deliberately avoids the singular-value oracle's machinery so
-that certificates are checked by two unrelated routes: exact closed-form Gram
-matrices probed with random coefficients, and (where a node matrix exists) its
-LAPACK SVD (``np.linalg.svd``) spectrum.  Every domain argument goes through
-``validated_intervals``, the rule each certificate already obeys.  Gram
-phases are reduced mod 1 in exact arithmetic, from the exact frequencies of
-``ExponentSystem``, so large endpoints or frequencies cost no accuracy.
-Sampling is deterministic: each sample draws its trials, in order, from one
+that certificates are checked by two unrelated routes: the closed-form Gram
+form of the truncated system on its domain, probed with random coefficients,
+and (where a node matrix exists) its LAPACK SVD (``np.linalg.svd``) spectrum.
+The section Gram is block Toeplitz, so route 2 never builds it: ``GramForm``
+keeps the branch-pair x lag table that defines it, transformed along the lag
+axis, and applies it as 4 n_max + 1 small branch x branch products.
+``gram_matrix`` stays the dense reference for arbitrary frequencies.  Every
+domain argument goes through ``validated_intervals``, the rule each
+certificate already obeys.  Gram phases are reduced mod 1 in exact
+arithmetic, so large endpoints or frequencies cost no accuracy.  Sampling is
+deterministic: each sample draws its trials, in order, from one
 ``np.random.default_rng(seed)`` stream, so distinct seeds share no trials.
 """
 
@@ -126,36 +130,155 @@ def gram_matrix(frequencies: Sequence, u) -> np.ndarray:
     return g
 
 
+def _sinc(x: np.ndarray) -> np.ndarray:
+    """``np.sinc(x)``, computed over x in place: two arrays the size of x
+    instead of np.sinc's five."""
+    x[x == 0] = 1e-20  # sin(y)/y is 1 to rounding there, as in np.sinc
+    x *= np.pi
+    s = np.sin(x)
+    s /= x
+    return s
+
+
+def _nonnegative_lags(system: ExponentSystem, u, n_max: int) -> np.ndarray:
+    """T[., ., 2 n_max + d] for the lags d = 0..2 n_max, lag-major; the lags
+    -d are their conjugate transposes.
+
+    A run of length l centred at m adds l sinc(nu l) e^{2 pi i nu m} to
+    T[j, j', 2 n_max + d], with nu = (d + phi_j - phi_j')/c.  The phase is
+    exact: e^{2 pi i nu m} = D[d] P[j] conj(P[j']), with the lag phases
+    D = ``unit_phases(d/c, m)`` and the branch phases
+    P = ``unit_phases(phi/c, m)``, so K runs cost (2 n_max + 1 + branches) * K
+    exact products however large m is, and the runs of one length sum their
+    phases in one batched product.  Each distinct run length costs one sinc
+    over the (2 n_max + 1) * branches^2 lags.
+    """
+    scale = system.domain_scale
+    offsets = [phi / scale for phi in system.branch_offsets]
+    lags = [Fraction(d) / scale for d in range(2 * n_max + 1)]
+    runs = _merged_runs(u)
+    centres = [(lo + hi) / 2 for lo, hi in runs]
+    branch_w = unit_phases(offsets, centres)
+    lag_w = unit_phases(lags, centres)
+    lag_f = np.asarray([finite_float(x, "a frequency") for x in lags])
+    g = np.asarray([finite_float(x, "a frequency") for x in offsets])
+    diff = g[:, None] - g[None, :]
+    lengths = [hi - lo for lo, hi in runs]
+    table = np.zeros((len(lags),) + diff.shape, dtype=complex)
+    for length in dict.fromkeys(lengths):
+        ks = [k for k, x in enumerate(lengths) if x == length]
+        w = branch_w[:, ks]
+        term = (lag_w[:, None, ks] * w) @ w.conj().T
+        term *= _sinc(np.add.outer(lag_f, diff) * float(length))
+        term *= float(length)
+        table += term
+    return table
+
+
+def _dft(n_max: int) -> np.ndarray:
+    """F[q, n] = exp(-2 pi i q n / Q) for the Q = 4 n_max + 1 frequencies q and
+    the 2 n_max + 1 positions n of one branch, the exponent reduced mod Q in
+    integers."""
+    q = 4 * n_max + 1
+    turns = np.outer(np.arange(q), np.arange(2 * n_max + 1)) % q
+    return np.exp(-2j * np.pi / q * turns)
+
+
 @dataclass(frozen=True)
 class GramForm:
-    """Finite-section quadratic form ||sum a_l e_{lambda_l}||^2 over a domain."""
+    """Finite-section quadratic form ||sum a_l e_{lambda_l}||^2 over a domain.
 
-    frequencies: tuple[Fraction, ...]
-    gram: np.ndarray
+    The section |n| <= n_max of the branches (n + phi_j)/c is block Toeplitz:
+    G[(j, n), (j', n')] = T[j, j', n - n' + 2 n_max], for the branches x
+    branches x Q lag table T, Q = 4 n_max + 1, with
+    T[j, j', 2 n_max + d] = conj T[j', j, 2 n_max - d].  A Toeplitz block of
+    order 2 n_max + 1 embeds in a circulant of order Q, which the DFT
+    diagonalises: with F the Q x (2 n_max + 1) DFT of ``_dft``, the block of
+    branches (j, j') is F^H diag(H[:, j, j']) F for the symbol
+    H_q = (1/Q) sum_{|d| <= 2 n_max} T[., ., 2 n_max + d] e^{-2 pi i d q / Q}.
+    The form keeps only the symbol, Q Hermitian branches x branches blocks
+    (G has (2 n_max + 1)^2 blocks of that size); ``table`` transforms it back
+    to T.
+    """
+
+    symbol: np.ndarray
     n_max: int
 
     @classmethod
     def build(cls, system: ExponentSystem, u, n_max: int = 8) -> "GramForm":
-        """The section |n| <= n_max, refused before any frequency is listed when
-        it has more than ``MAX_MATRIX_ROWS`` rows."""
+        """The section |n| <= n_max, refused before anything is built when it
+        has more than ``MAX_MATRIX_ROWS`` rows.
+
+        The lags d >= 0 of T (``_nonnegative_lags``) go straight into the
+        symbol: with A_q = sum_{d >= 0} T[., ., 2 n_max + d] e^{-2 pi i d q / Q}
+        and T_0 counted half, H_q = (A_q + A_q^H)/Q.  So the lags d < 0 are
+        never built, and every block of the symbol is exactly Hermitian: the
+        form it represents is that of the Hermitian part of T_0 and of the
+        lags d > 0 with their conjugate transposes.
+        """
         rows = system.branches * (2 * n_max + 1)
         if rows > MAX_MATRIX_ROWS:
             raise PreconditionError(
                 f"Gram section too large: {system.branches} (branches) x {2 * n_max + 1} "
                 f"(frequencies per branch) rows > MAX_MATRIX_ROWS = {MAX_MATRIX_ROWS}")
-        freqs = system.frequencies(n_max)
-        return cls(frequencies=tuple(freqs), gram=gram_matrix(freqs, u), n_max=n_max)
+        if n_max < 0:
+            raise PreconditionError(f"n_max must be >= 0, got {n_max}")
+        lags = _nonnegative_lags(system, u, n_max)
+        lags[0] *= 0.5
+        q = 4 * n_max + 1
+        symbol = (_dft(n_max) @ lags.reshape(2 * n_max + 1, -1)).reshape(q, *lags.shape[1:])
+        symbol /= q
+        for block in symbol:
+            block += block.conj().T
+        return cls(symbol=symbol, n_max=n_max)
+
+    @property
+    def branches(self) -> int:
+        return self.symbol.shape[1]
 
     @property
     def size(self) -> int:
-        return len(self.frequencies)
+        return self.branches * (2 * self.n_max + 1)
+
+    @property
+    def table(self) -> np.ndarray:
+        """The lag table T[j, j', d + 2 n_max], recovered from the symbol."""
+        q = self.symbol.shape[0]
+        turns = np.outer(np.arange(q) - 2 * self.n_max, np.arange(q)) % q
+        back = np.exp(2j * np.pi / q * turns) @ self.symbol.reshape(q, -1)
+        return back.reshape(self.symbol.shape).transpose(1, 2, 0)
+
+    def apply(self, coeffs: np.ndarray) -> np.ndarray:
+        """G c for a vector c, or for each column of a size x k matrix."""
+        c = np.asarray(coeffs, dtype=complex)
+        f = _dft(self.n_max)
+        spectra = np.matmul(f, c.reshape(self.branches, 2 * self.n_max + 1, -1))
+        spectra = np.matmul(self.symbol, spectra.transpose(1, 0, 2))
+        return np.matmul(f.conj().T, spectra.transpose(1, 0, 2)).reshape(c.shape)
+
+    def quadratic_forms(self, coeffs: np.ndarray) -> np.ndarray:
+        """c* G c for every column c of ``coeffs`` (size x trials), real.
+
+        By Parseval, c* G c = sum_q (F c)_q^H H_q (F c)_q: the forward
+        transform alone, one branches x branches product per frequency q,
+        and no inverse transform.  The transform of every (trial, branch)
+        row is one product with F, laid out frequency-major, so each H_q
+        meets a contiguous trials x branches block.
+        """
+        trials = coeffs.shape[1]
+        rows = coeffs.T.reshape(trials * self.branches, 2 * self.n_max + 1)
+        spectra = (_dft(self.n_max) @ rows.T).reshape(-1, trials, self.branches)
+        forms = np.zeros(trials)
+        for spectrum, block in zip(spectra, self.symbol):
+            forms += np.vecdot(spectrum, spectrum @ block.T).real
+        return forms
 
     def ratio(self, coeffs: np.ndarray) -> float:
         c = np.asarray(coeffs, dtype=complex)
         den = float(np.vdot(c, c).real)
         if den == 0.0:
             raise PreconditionError("all-zero coefficient vector")
-        return float(np.vdot(c, self.gram @ c).real) / den
+        return float(np.vdot(c, self.apply(c)).real) / den
 
 
 @dataclass(frozen=True)
@@ -171,42 +294,38 @@ class RatioSample:
             raise VerificationError("min_ratio exceeds max_ratio")
 
 
-def _power_extreme(gram: np.ndarray, v: np.ndarray, steps: int, largest: bool) -> float:
+def _gershgorin_shift(form: GramForm) -> float:
+    """The largest absolute row sum of G, a bound >= lambda_max.
+
+    Row (j, n) of G reads the lags n - n' + 2 n_max for the 2 n_max + 1
+    values of n', so its sum is that of sum_j' |T[j, j', .]| over a window of
+    2 n_max + 1 consecutive lags starting at n.
+    """
+    width = 2 * form.n_max + 1
+    profile = np.sum(np.abs(form.table), axis=1)  # branches x lags
+    return max(float(np.max(np.sum(profile[:, start:start + width], axis=1)))
+               for start in range(width))
+
+
+def _power_extreme(form: GramForm, v: np.ndarray, steps: int, largest: bool) -> float:
     """Rayleigh quotient after a few power steps toward the extreme eigenvalue.
 
     Toward the smallest eigenvalue the steps apply ``shift*I - G`` as
-    ``shift*v - G v``, where the Gershgorin bound ``shift`` >= lambda_max is the
-    largest absolute row sum, taken one 64-row block at a time.  Nothing the
-    size of G is allocated besides G itself.
+    ``shift*v - G v``, with the Gershgorin ``shift`` of ``_gershgorin_shift``.
     """
     if not largest:
-        shift = max(float(np.max(np.sum(np.abs(gram[start:start + _GRAM_ROWS]), axis=1)))
-                    for start in range(0, gram.shape[0], _GRAM_ROWS))
+        shift = _gershgorin_shift(form)
     for _ in range(steps):
-        v = gram @ v if largest else shift * v - gram @ v
+        v = form.apply(v) if largest else shift * v - form.apply(v)
         norm = float(np.linalg.norm(v))
         if norm == 0.0:
             break
         v = v / norm
-    ray = float(np.vdot(v, gram @ v).real / np.vdot(v, v).real)
-    return ray
+    return float(np.vdot(v, form.apply(v)).real / np.vdot(v, v).real)
 
 
-_TRIAL_BLOCK = 256  # trial columns per product: C and G C stay size x 256
-
-
-def _rayleigh_quotients(gram: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """(c* G c)/(c* c) for every column c of ``coeffs``, from one product G C.
-
-    G C is conjugated and multiplied by C in place, whose real part is that of
-    conj(C) * (G C); so besides C only G C is allocated, and it is freed on
-    return.
-    """
-    norms = np.sum(np.abs(coeffs) ** 2, axis=0)
-    forms = gram @ coeffs
-    np.conjugate(forms, out=forms)
-    forms *= coeffs
-    return np.sum(forms, axis=0).real / norms
+_TRIAL_BLOCK = 256  # trial columns per block, at most
+_BLOCK_ENTRIES = 2**15  # and at most this many coefficients: C stays 512 KiB, its transform ~1 MiB
 
 
 def riesz_ratio_sample(
@@ -219,11 +338,11 @@ def riesz_ratio_sample(
     GramForm, whose own ``n_max`` the sample reports.  All trials come from
     one ``np.random.default_rng(seed)``: trial t is the t-th run of
     2 * size standard normals, read as size complex numbers.  The trials are
-    stacked as the columns of a matrix C (up to 256 at a time, drawn in order,
-    so the block width does not change them), and their quotients come from
-    one product G C.  The extremes are the first minimum and first maximum in
-    trial order; ``refine`` > 0 polishes them with that many power-iteration
-    steps on G.
+    stacked as the columns of a matrix C, up to 256 at a time and at most
+    2**15 coefficients per block (drawn in order, so the block width does not
+    change them), and their quadratic forms come from the form's symbol
+    (``GramForm.quadratic_forms``), never from a dense G.  The extremes are the first minimum and first maximum in trial order;
+    ``refine`` > 0 polishes them with that many power-iteration steps on G.
     """
     if n_max < 1 or trials < 1 or seed < 0:
         raise PreconditionError("need n_max >= 1, trials >= 1 and seed >= 0")
@@ -232,18 +351,19 @@ def riesz_ratio_sample(
     lo = math.inf
     hi = -math.inf
     v_lo = v_hi = None
-    for first in range(0, trials, _TRIAL_BLOCK):
-        width = min(_TRIAL_BLOCK, trials - first)
+    block = min(_TRIAL_BLOCK, max(1, _BLOCK_ENTRIES // form.size))
+    for first in range(0, trials, block):
+        width = min(block, trials - first)
         coeffs = rng.standard_normal((width, 2 * form.size)).view(complex).T
-        ratios = _rayleigh_quotients(form.gram, coeffs)
+        ratios = form.quadratic_forms(coeffs) / np.sum(np.abs(coeffs) ** 2, axis=0)
         i_lo, i_hi = int(np.argmin(ratios)), int(np.argmax(ratios))
         if ratios[i_lo] < lo:
             lo, v_lo = float(ratios[i_lo]), coeffs[:, i_lo].copy()
         if ratios[i_hi] > hi:
             hi, v_hi = float(ratios[i_hi]), coeffs[:, i_hi].copy()
     if refine > 0:
-        lo = min(lo, _power_extreme(form.gram, v_lo, refine, largest=False))
-        hi = max(hi, _power_extreme(form.gram, v_hi, refine, largest=True))
+        lo = min(lo, _power_extreme(form, v_lo, refine, largest=False))
+        hi = max(hi, _power_extreme(form, v_hi, refine, largest=True))
     return RatioSample(min_ratio=lo, max_ratio=hi, trials=trials, seed=seed, n_max=form.n_max)
 
 

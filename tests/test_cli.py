@@ -251,6 +251,47 @@ def test_precondition_failures_are_exit_one(run):
     assert "--delta" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["interval-removal", "--N", "17", "--m", "3"],
+    ["perturbed-union", "--s", "2", "--a", "0,3", "--epsilons", "0,0"],
+], ids=["interval-removal", "perturbed-union"])
+@pytest.mark.parametrize("delta", ["1e400", "-1e400"])
+def test_delta_beyond_the_float_range_is_a_window_error(run, argv, delta):
+    code, out, err = run(["certify", *argv, f"--delta={delta}"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error [DeltaWindowError]")
+    assert "1.000000e+400 outside" in err
+
+
+@pytest.mark.parametrize("delta_total", ["1e30", "1e400", "2050"])
+def test_oversized_complement_is_refused_before_it_is_listed(run, tmp_path, delta_total):
+    import tracemalloc
+    parent = tmp_path / "parent.json"
+    run(["certify", "residue-orthogonal", "--s", "1", "--a", "0", "--output", str(parent)])
+    tracemalloc.start()
+    try:
+        code, out, err = run(["certify", "complement", "--Delta", delta_total,
+                              "--input", str(parent)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err.startswith("error [PreconditionError]") and "MAX_MATRIX_ROWS" in err
+    assert peak < 2**20
+
+
+def test_importing_the_cli_loads_neither_fft_nor_random():
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys, expobasis.cli; "
+             "print([m for m in ('numpy.fft', 'numpy.random') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", probe], env={"PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_every_construction_is_dispatched_from_the_table(run, method):
     builder, inputs = CONSTRUCTIONS[method]

@@ -25,10 +25,11 @@ from expobasis import (
     regression_examples,
     residue_orthogonal_basis,
     riesz_ratio_sample,
+    validated_intervals,
     verify_certificate,
 )
 from expobasis.vandermonde import unit_phases
-from expobasis.verify import _merged_runs, _power_extreme
+from expobasis.verify import _gershgorin_shift, _merged_runs, _power_extreme
 
 SPLIT = ((Fraction(0), Fraction(1)), (Fraction(3), Fraction(4)))
 
@@ -84,7 +85,7 @@ _RUN_GAPS = {
 
 @st.composite
 def _gram_case(draw, kind):
-    """(frequencies, domain) for one kind of union; see _RUN_GAPS."""
+    """(system, domain) for one kind of union; see _RUN_GAPS."""
     lengths = draw(st.lists(
         st.fractions(Fraction(1, 6), Fraction(2), max_denominator=6)
         if kind == "rational" else st.just(Fraction(1)),
@@ -105,15 +106,15 @@ def _gram_case(draw, kind):
         offsets = [k / 12 + draw(st.floats(-0.03, 0.03)) for k in ks]
     else:
         offsets = [Fraction(k, 12) for k in ks]
-    system = ExponentSystem(offsets, domain_scale=scale)
-    return system.frequencies(3), domain
+    return ExponentSystem(offsets, domain_scale=scale), domain
 
 
 @pytest.mark.parametrize("kind", sorted(_RUN_GAPS))
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_gram_matrix_matches_entries_on_merged_runs(kind, data):
-    freqs, domain = data.draw(_gram_case(kind))
+    system, domain = data.draw(_gram_case(kind))
+    freqs = system.frequencies(3)
     g = gram_matrix(freqs, domain)
     measure = float(sum(hi - lo for lo, hi in domain))
     assert np.array_equal(g, g.conj().T)
@@ -173,12 +174,24 @@ def test_gram_build_peak_memory_is_one_gram_and_a_row_block():
     assert _traced_peak(lambda: gram_matrix(freqs, domain)) < 1.25 * g.nbytes
 
 
+_GRAM_BYTES_64 = 16 * 1088 ** 2  # the dense section Gram of interval removal at L = 64
+
+
 def test_refined_sample_allocates_nothing_gram_sized():
-    freqs, domain = _removal_section(64)
-    form = GramForm(frequencies=tuple(freqs), gram=gram_matrix(freqs, domain), n_max=8)
+    lo, hi, _ = delta_window_interval_removal(65)
+    cert = construct_interval_removal(65, 32, (lo + hi) / 2)
+    form = GramForm.build(cert.system, cert.domain_intervals, n_max=8)
+    assert form.size == 1088
     riesz_ratio_sample(form, trials=1)  # numpy imports numpy.random lazily
     peak = _traced_peak(lambda: riesz_ratio_sample(form, refine=5))
-    assert peak < 0.25 * form.gram.nbytes
+    assert peak < 0.25 * _GRAM_BYTES_64
+
+
+def test_verify_allocates_nothing_gram_sized():
+    lo, hi, _ = delta_window_interval_removal(65)
+    cert = construct_interval_removal(65, 32, (lo + hi) / 2)
+    verify_certificate(cert, trials=1)  # numpy imports numpy.random lazily
+    assert _traced_peak(lambda: verify_certificate(cert)) < 0.25 * _GRAM_BYTES_64
 
 
 @pytest.mark.parametrize("s, a", [(3, [0, 3 * 2**22 + 1, 6 * 2**22 + 2]), (2, [0, 2**52 + 1])])
@@ -186,8 +199,49 @@ def test_far_apart_tight_frames_have_an_exact_section_gram(s, a):
     # a float phase f*m keeps too few fraction bits once m reaches 2**22 and beyond
     cert = residue_orthogonal_basis(s, a)
     form = GramForm.build(cert.system, cert.domain_intervals, n_max=8)
-    assert np.abs(form.gram - s * np.eye(form.size)).max() <= 1e-12
+    assert np.abs(form.apply(np.eye(form.size)) - s * np.eye(form.size)).max() <= 1e-12
     assert verify_certificate(cert, trials=16).ok
+
+
+def _assert_table_form_is_the_dense_gram(system, domain, n_max):
+    form = GramForm.build(system, domain, n_max)
+    dense = gram_matrix(system.frequencies(n_max), domain)
+    measure = float(sum(hi - lo for lo, hi in validated_intervals(domain)))
+    assert form.size == dense.shape[0]
+    assert np.abs(form.apply(np.eye(form.size)) - dense).max() <= 1e-12 * measure
+
+
+@pytest.mark.parametrize("kind", sorted(_RUN_GAPS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_table_form_matches_the_dense_gram(kind, data):
+    system, domain = data.draw(_gram_case(kind))
+    _assert_table_form_is_the_dense_gram(system, domain, data.draw(st.integers(1, 4)))
+
+
+@pytest.mark.parametrize("n_intervals", [16, 32, 64])
+def test_table_form_matches_the_dense_gram_on_interval_removal(n_intervals):
+    lo, hi, _ = delta_window_interval_removal(n_intervals + 1)
+    cert = construct_interval_removal(n_intervals + 1, n_intervals // 2, (lo + hi) / 2)
+    _assert_table_form_is_the_dense_gram(cert.system, cert.domain_intervals, 8)
+
+
+@pytest.mark.parametrize("gap", [2**52 + 1, 2 * 10**400 + 1])
+def test_table_form_matches_the_dense_gram_on_far_apart_tight_frames(gap):
+    cert = residue_orthogonal_basis(2, [0, gap])
+    _assert_table_form_is_the_dense_gram(cert.system, cert.domain_intervals, 8)
+
+
+def test_table_is_conjugate_symmetric_and_gives_the_gershgorin_shift():
+    cert = construct_interval_removal(6, 2, 0.025)
+    form = GramForm.build(cert.system, cert.domain_intervals, n_max=4)
+    table = form.table
+    assert table.shape == (5, 5, 17)
+    np.testing.assert_allclose(table, table.conj().transpose(1, 0, 2)[:, :, ::-1], atol=1e-13)
+    dense = gram_matrix(cert.system.frequencies(4), cert.domain_intervals)
+    for j, n, k, m in [(0, 0, 0, 0), (1, 3, 4, 8), (4, 8, 2, 0)]:
+        assert table[j, k, n - m + 8] == pytest.approx(dense[9 * j + n, 9 * k + m], abs=1e-13)
+    assert _gershgorin_shift(form) == pytest.approx(np.abs(dense).sum(axis=1).max(), rel=1e-13)
 
 
 # --- Gram quadratic form ----------------------------------------------------------
@@ -294,8 +348,8 @@ def _looped_sample(form, trials, seed, refine):
         if r > hi:
             hi, v_hi = r, c
     if refine > 0:
-        lo = min(lo, _power_extreme(form.gram, v_lo, refine, largest=False))
-        hi = max(hi, _power_extreme(form.gram, v_hi, refine, largest=True))
+        lo = min(lo, _power_extreme(form, v_lo, refine, largest=False))
+        hi = max(hi, _power_extreme(form, v_hi, refine, largest=True))
     return lo, hi
 
 
