@@ -51,7 +51,6 @@ from .errors import (
     OverlapError,
     PreconditionError,
     RankDeficientError,
-    RegressionFailure,
     ResidueClashError,
     SeparationError,
     ThresholdError,

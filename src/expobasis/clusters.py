@@ -37,11 +37,8 @@ def default_threshold(length: int) -> float:
 class ClusterPartition:
     """Connected components of the coherence graph on node indices.
 
-    ``alpha = arcsin(cross_coherence / length)`` is the pairwise
-    near-orthogonality angle defect, a lower bound on the exact defect
-    ``pi/2 - principal_angle_check(partition)``.  ``chained``
-    marks components of size > 2 that are not coherence-cliques, for which the
-    closed-form cluster spectra are unavailable anyway.
+    ``chained`` marks components of size > 2 that are not coherence-cliques,
+    for which the closed-form cluster spectra are unavailable anyway.
     """
 
     clusters: tuple[tuple[int, ...], ...]
@@ -49,8 +46,6 @@ class ClusterPartition:
     spacing: Fraction
     length: int
     threshold: float
-    cross_coherence: float
-    alpha: float
     chained: bool
 
     @property
@@ -67,8 +62,7 @@ def partition_by_coherence(
     """Group column indices whose pairwise coherence is >= threshold.
 
     Components are connected components of the thresholded coherence graph
-    (ties join a cluster).  Cross-cluster coherence is the maximum over pairs
-    in different components; alpha = arcsin(cross / length).
+    (ties join a cluster).
     """
     n = len(nodes)
     spacing = as_fraction(spacing)
@@ -103,12 +97,6 @@ def partition_by_coherence(
         groups.setdefault(find(i), []).append(i)
     clusters = tuple([tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: g[0])])
 
-    cross = 0.0
-    for a, ca in enumerate(clusters):
-        for cb in clusters[a + 1 :]:
-            for i in ca:
-                for j in cb:
-                    cross = max(cross, coh[i, j])
     chained = any(
         len(c) > 2 and any(coh[i, j] < tau for x, i in enumerate(c) for j in c[x + 1 :])
         for c in clusters
@@ -119,8 +107,6 @@ def partition_by_coherence(
         spacing=spacing,
         length=length,
         threshold=tau,
-        cross_coherence=cross,
-        alpha=math.asin(min(cross / length, 1.0)),
         chained=chained,
     )
 

@@ -69,7 +69,3 @@ class RankDeficientError(ExpobasisError):
 
 class VerificationError(ExpobasisError):
     """A certificate failed an oracle or sampling check."""
-
-
-class RegressionFailure(VerificationError):
-    """A built-in regression example did not reproduce its known answer."""

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the singular-value oracle's machinery so
 that certificates are checked by two unrelated routes: the closed-form Gram
-form of the truncated system on its domain, probed with random coefficients,
-and (where a node matrix exists) its LAPACK SVD (``np.linalg.svd``) spectrum.
+form of the truncated system on its domain, whose smallest and largest
+Rayleigh quotients over random coefficients are checked, and (where a node
+matrix exists) its LAPACK SVD (``np.linalg.svd``) spectrum.
 The section Gram is block Toeplitz, so route 2 never builds it: ``GramForm``
 keeps the branch-pair x lag table that defines it, transformed along the lag
 axis, and applies it as 4 n_max + 1 small branch x branch products.
@@ -32,7 +33,7 @@ from .domains import (
     finite_float,
     validated_intervals,
 )
-from .errors import PreconditionError, RegressionFailure, VerificationError
+from .errors import PreconditionError, VerificationError
 from .spectral import SingularSpectrum, singular_values
 from .vandermonde import NodeMatrix, build_gamma, progression_matrix, unit_phases
 
@@ -197,8 +198,8 @@ class GramForm:
     branches (j, j') is F^H diag(H[:, j, j']) F for the symbol
     H_q = (1/Q) sum_{|d| <= 2 n_max} T[., ., 2 n_max + d] e^{-2 pi i d q / Q}.
     The form keeps only the symbol, Q Hermitian branches x branches blocks
-    (G has (2 n_max + 1)^2 blocks of that size); ``table`` transforms it back
-    to T.
+    (G has (2 n_max + 1)^2 blocks of that size).  ``apply`` gives G c and
+    ``quadratic_forms`` gives c* G c, both from the symbol.
     """
 
     symbol: np.ndarray
@@ -240,14 +241,6 @@ class GramForm:
     def size(self) -> int:
         return self.branches * (2 * self.n_max + 1)
 
-    @property
-    def table(self) -> np.ndarray:
-        """The lag table T[j, j', d + 2 n_max], recovered from the symbol."""
-        q = self.symbol.shape[0]
-        turns = np.outer(np.arange(q) - 2 * self.n_max, np.arange(q)) % q
-        back = np.exp(2j * np.pi / q * turns) @ self.symbol.reshape(q, -1)
-        return back.reshape(self.symbol.shape).transpose(1, 2, 0)
-
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         """G c for a vector c, or for each column of a size x k matrix."""
         c = np.asarray(coeffs, dtype=complex)
@@ -273,13 +266,6 @@ class GramForm:
             forms += np.vecdot(spectrum, spectrum @ block.T).real
         return forms
 
-    def ratio(self, coeffs: np.ndarray) -> float:
-        c = np.asarray(coeffs, dtype=complex)
-        den = float(np.vdot(c, c).real)
-        if den == 0.0:
-            raise PreconditionError("all-zero coefficient vector")
-        return float(np.vdot(c, self.apply(c)).real) / den
-
 
 @dataclass(frozen=True)
 class RatioSample:
@@ -294,43 +280,12 @@ class RatioSample:
             raise VerificationError("min_ratio exceeds max_ratio")
 
 
-def _gershgorin_shift(form: GramForm) -> float:
-    """The largest absolute row sum of G, a bound >= lambda_max.
-
-    Row (j, n) of G reads the lags n - n' + 2 n_max for the 2 n_max + 1
-    values of n', so its sum is that of sum_j' |T[j, j', .]| over a window of
-    2 n_max + 1 consecutive lags starting at n.
-    """
-    width = 2 * form.n_max + 1
-    profile = np.sum(np.abs(form.table), axis=1)  # branches x lags
-    return max(float(np.max(np.sum(profile[:, start:start + width], axis=1)))
-               for start in range(width))
-
-
-def _power_extreme(form: GramForm, v: np.ndarray, steps: int, largest: bool) -> float:
-    """Rayleigh quotient after a few power steps toward the extreme eigenvalue.
-
-    Toward the smallest eigenvalue the steps apply ``shift*I - G`` as
-    ``shift*v - G v``, with the Gershgorin ``shift`` of ``_gershgorin_shift``.
-    """
-    if not largest:
-        shift = _gershgorin_shift(form)
-    for _ in range(steps):
-        v = form.apply(v) if largest else shift * v - form.apply(v)
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            break
-        v = v / norm
-    return float(np.vdot(v, form.apply(v)).real / np.vdot(v, v).real)
-
-
 _TRIAL_BLOCK = 256  # trial columns per block, at most
 _BLOCK_ENTRIES = 2**15  # and at most this many coefficients: C stays 512 KiB, its transform ~1 MiB
 
 
 def riesz_ratio_sample(
     system, u=None, n_max: int = 8, trials: int = 128, seed: int = DEFAULT_SEED,
-    refine: int = 0,
 ) -> RatioSample:
     """Sample Rayleigh quotients (a* G a)/(a* a) over random complex Gaussians.
 
@@ -341,8 +296,8 @@ def riesz_ratio_sample(
     stacked as the columns of a matrix C, up to 256 at a time and at most
     2**15 coefficients per block (drawn in order, so the block width does not
     change them), and their quadratic forms come from the form's symbol
-    (``GramForm.quadratic_forms``), never from a dense G.  The extremes are the first minimum and first maximum in trial order;
-    ``refine`` > 0 polishes them with that many power-iteration steps on G.
+    (``GramForm.quadratic_forms``), never from a dense G.  The extremes are
+    the smallest and the largest ratio drawn.
     """
     if n_max < 1 or trials < 1 or seed < 0:
         raise PreconditionError("need n_max >= 1, trials >= 1 and seed >= 0")
@@ -350,20 +305,13 @@ def riesz_ratio_sample(
     rng = np.random.default_rng(seed)
     lo = math.inf
     hi = -math.inf
-    v_lo = v_hi = None
     block = min(_TRIAL_BLOCK, max(1, _BLOCK_ENTRIES // form.size))
     for first in range(0, trials, block):
         width = min(block, trials - first)
         coeffs = rng.standard_normal((width, 2 * form.size)).view(complex).T
         ratios = form.quadratic_forms(coeffs) / np.sum(np.abs(coeffs) ** 2, axis=0)
-        i_lo, i_hi = int(np.argmin(ratios)), int(np.argmax(ratios))
-        if ratios[i_lo] < lo:
-            lo, v_lo = float(ratios[i_lo]), coeffs[:, i_lo].copy()
-        if ratios[i_hi] > hi:
-            hi, v_hi = float(ratios[i_hi]), coeffs[:, i_hi].copy()
-    if refine > 0:
-        lo = min(lo, _power_extreme(form, v_lo, refine, largest=False))
-        hi = max(hi, _power_extreme(form, v_hi, refine, largest=True))
+        lo = min(lo, float(ratios.min()))
+        hi = max(hi, float(ratios.max()))
     return RatioSample(min_ratio=lo, max_ratio=hi, trials=trials, seed=seed, n_max=form.n_max)
 
 
@@ -455,7 +403,7 @@ class RegressionResult:
 
 
 def regression_examples() -> list[RegressionResult]:
-    """Re-run the two counterexample fixtures; raise on any mismatch.
+    """Re-run the two counterexample fixtures, each result with its verdict.
 
     The 2x2 matrix for offsets {0, 1/2} on blocks at {0, 3} is orthogonal with
     both optimal constants 2.  Pulling the second block to 3 - 1/N makes the
@@ -492,10 +440,4 @@ def regression_examples() -> list[RegressionResult]:
     results.append(RegressionResult(
         "all_ones_pair_singular", ok2, f"sigma={spec2.values!r}"))
 
-    failed = [r for r in results if not r.passed]
-    if failed:
-        err = RegressionFailure(
-            "regression mismatch: " + ", ".join(r.name for r in failed))
-        err.results = results
-        raise err
     return results

@@ -263,6 +263,23 @@ def test_delta_beyond_the_float_range_is_a_window_error(run, argv, delta):
     assert "1.000000e+400 outside" in err
 
 
+@pytest.mark.parametrize("delta, code", [("-1/1700", 0), ("-1e-3", 1)])
+def test_negative_delta_after_a_space_reads_as_the_equals_form(run, delta, code):
+    # -1/1700 lies in the perturbed union's window, -1e-3 outside it
+    argv = ["certify", "perturbed-union", "--s", "2", "--a", "0,3", "--epsilons", "0,1/3"]
+    spaced = run([*argv, "--delta", delta])
+    assert spaced == run([*argv, f"--delta={delta}"])
+    assert spaced[0] == code
+    assert spaced[2] == "" if code == 0 else spaced[2].startswith("error [DeltaWindowError]")
+
+
+def test_negative_rational_delta_outside_the_window_is_a_window_error(run):
+    code, out, err = run(["certify", "interval-removal", "--N", "6", "--m", "2",
+                          "--delta", "-1/40"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error [DeltaWindowError]")
+
+
 @pytest.mark.parametrize("delta_total", ["1e30", "1e400", "2050"])
 def test_oversized_complement_is_refused_before_it_is_listed(run, tmp_path, delta_total):
     import tracemalloc
@@ -357,6 +374,40 @@ def test_regress_subcommand(run):
     assert doc["verdict"] == "pass"
     assert len(doc["regressions"]) == 9
     assert all(r["passed"] for r in doc["regressions"])
+
+
+@pytest.fixture()
+def broken_fixture(monkeypatch):
+    """Nudge the N = 2 perturbed pair off its node collision, so that one
+    regression fixture, and only that one, fails."""
+    import expobasis.verify as verify
+    real = verify.progression_matrix
+
+    def nudged(nodes, spacing):
+        return real(nodes, spacing + Fraction(1, 1000) if len(nodes) == 4 else spacing)
+
+    monkeypatch.setattr(verify, "progression_matrix", nudged)
+
+
+def test_regress_failure_is_exit_two(run, broken_fixture):
+    code, out, _ = run(["regress"])
+    assert code == 2
+    doc = loads(out)
+    assert doc["verdict"] == "fail"
+    assert len(doc["regressions"]) == 9
+    assert [r["name"] for r in doc["regressions"] if not r["passed"]] == [
+        "perturbed_pair_singular_N2"]
+
+
+def test_report_with_a_failed_regression_is_exit_two(run, broken_fixture):
+    code, out, _ = run(["report", "interval-removal", "--N", "4", "--m", "1",
+                        "--delta", "0.08", "--trials", "16"])
+    assert code == 2
+    doc = loads(out)
+    assert doc["verdict"] == "fail"
+    assert doc["violations"] == []
+    assert [r["name"] for r in doc["regressions"] if not r["passed"]] == [
+        "perturbed_pair_singular_N2"]
 
 
 def test_report_bundles_all_routes(run):
