@@ -335,14 +335,14 @@ def _looped_sample(form, trials, seed):
     return lo, hi
 
 
-@pytest.mark.parametrize("trials", [50, 600])
-def test_batched_sample_matches_per_trial_loop(trials):
+@pytest.mark.parametrize("seed, trials", [(0, 50), (40, 50), (40, 600)])
+def test_batched_sample_matches_per_trial_loop(seed, trials):
     removal = construct_interval_removal(6, 2, 0.025)
     offsets = ExponentSystem((Fraction(0), Fraction(1, 3)), domain_scale=Fraction(1))
     for system, domain in ((removal.system, removal.domain_intervals), (offsets, SPLIT)):
         form = GramForm.build(system, domain, n_max=4)
-        sample = riesz_ratio_sample(form, trials=trials, seed=11)
-        lo, hi = _looped_sample(form, trials, 11)
+        sample = riesz_ratio_sample(form, trials=trials, seed=seed)
+        lo, hi = _looped_sample(form, trials, seed)
         assert sample.min_ratio == pytest.approx(lo, rel=1e-12)
         assert sample.max_ratio == pytest.approx(hi, rel=1e-12)
 
