@@ -18,6 +18,7 @@ within-cluster sine ratio.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,6 +43,7 @@ from .errors import (
     EmptyDeltaWindowError,
     EpsilonError,
     LatticeError,
+    OverlapError,
     PreconditionError,
     ResidueClashError,
     SeparationError,
@@ -113,13 +115,15 @@ class BetaSolution:
             raise VerificationError(f"beta = {self.beta} escaped (0, 1/{self.m})")
 
 
+@functools.lru_cache
 def solve_beta(m: int) -> BetaSolution:
     """Bisect for the unique beta with sin(pi m beta)/sin(pi beta) = m sin(1/m).
 
     The ratio decreases from m to 0 across (0, 1/m), so the root is simple.
     Bisection runs until the residual drops below 1e-13 or the bracket is
     exhausted (at most 200 steps); the reported residual is evaluated at the
-    returned double.
+    returned double.  The solution is immutable, so it is solved once per m
+    and shared by every window and construction that asks for it.
     """
     if m < 2:
         raise PreconditionError(f"need m >= 2 for a nondegenerate root, got {m}")
@@ -174,7 +178,7 @@ class FrameCertificate:
 
 
 def _unit_intervals(endpoints: Sequence[int]) -> tuple[Interval, ...]:
-    return tuple([(Fraction(e), Fraction(e) + 1) for e in endpoints])
+    return tuple([(Fraction(e), Fraction(e + 1)) for e in endpoints])
 
 
 def _vacuity_flags(a: float) -> tuple[str, ...]:
@@ -205,6 +209,10 @@ def _validated_perturbation(s: int, a: Sequence[int], eps: Sequence) -> tuple[li
         raise EpsilonError("canonical form requires eps_0 = 0")
     if any(abs(e) >= Fraction(1, 2) for e in eps):
         raise EpsilonError("perturbations must satisfy |eps| < 1/2 (strict)")
+    starts = [a_j + e_j for a_j, e_j in zip(a, eps)]
+    for lo, nxt in zip(starts, starts[1:]):
+        if nxt < lo + 1:
+            raise OverlapError(f"interval [{lo}, {lo + 1}) overlaps the one starting at {nxt}")
     return a, eps
 
 
@@ -547,20 +555,30 @@ def associated_matrix(cert: FrameCertificate) -> tuple[NodeMatrix, float] | None
     branches are (r + phi_j)/D for 0 <= r < D.  Returns (matrix, D/c), whose
     soundness contract is ``scale*A <= sigma^2 <= scale*B``, or None when the
     matrix would not be square.  A matrix of more than ``MAX_MATRIX_ROWS`` rows
-    is refused before any node is built.
+    is refused before any node is built.  The endpoints over c are read as
+    integer numerators over D, so the measure is an integer sum and each
+    piece's nodes are one integer range.
     """
     c = cert.system.domain_scale
-    pieces = [(lo / c, hi / c) for lo, hi in cert.domain_intervals]
-    if sum(hi - lo for lo, hi in pieces) != cert.system.branches:
+    ends = [x for piece in cert.domain_intervals for x in piece]
+    q = math.lcm(*[x.denominator for x in ends])
+    nums = [x.numerator * (q // x.denominator) * c.denominator for x in ends]
+    g = math.gcd(q * c.numerator, *nums)  # x/c = (num/g) / D in lowest terms
+    d = q * c.numerator // g
+    nums = [num // g for num in nums]
+    branches = cert.system.branches
+    if sum(nums[1::2]) - sum(nums[::2]) != branches * d:
         return None
-    d = lcd([x for piece in pieces for x in piece])
-    if d * cert.system.branches > MAX_MATRIX_ROWS:
+    if d * branches > MAX_MATRIX_ROWS:
         raise PreconditionError(
-            f"node matrix too large: {d} (common denominator) x {cert.system.branches} "
+            f"node matrix too large: {d} (common denominator) x {branches} "
             f"(branches) rows > MAX_MATRIX_ROWS = {MAX_MATRIX_ROWS}")
-    nodes = [p for lo, hi in pieces for p in range(int(lo * d), int(hi * d))]
-    branches = [(r + phi) / d for phi in cert.system.branch_offsets for r in range(d)]
-    return build_gamma(branches, nodes), float(d / c)
+    nodes = [p for lo, hi in zip(nums[::2], nums[1::2]) for p in range(lo, hi)]
+    offsets = cert.system.branch_offsets
+    if d > 1:
+        offsets = [Fraction(r * phi.denominator + phi.numerator, phi.denominator * d)
+                   for phi in offsets for r in range(d)]
+    return build_gamma(offsets, nodes), float(d / c)
 
 
 # --- JSON -----------------------------------------------------------------

@@ -76,19 +76,28 @@ def validated_intervals(pairs: Iterable) -> tuple[Interval, ...]:
     Refused with a named error: no interval at all, an empty or reversed
     interval, an overlap (``OverlapError``), and a length that does not
     convert to a finite float, since the Gram form integrates over float
-    lengths.  Endpoints themselves may be arbitrarily large.
+    lengths.  Endpoints themselves may be arbitrarily large.  Order, lengths
+    and overlaps are read from the endpoints' integer numerators over their
+    common denominator, which compare exactly as the rationals do.
     """
-    out = sorted((as_fraction(lo), as_fraction(hi)) for lo, hi in pairs)
-    if not out:
+    ends = [(as_fraction(lo), as_fraction(hi)) for lo, hi in pairs]
+    if not ends:
         raise PreconditionError("a domain needs at least one interval")
-    for lo, hi in out:
-        if hi <= lo:
+    den = lcm(*[x.denominator for pair in ends for x in pair])
+    keys = [(lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator))
+            for lo, hi in ends]
+    out = sorted(zip(keys, ends))
+    for (start, end), (lo, hi) in out:
+        if end <= start:
             raise PreconditionError(f"empty interval [{lo}, {hi})")
-        finite_float(hi - lo, "an interval length")
-    for (lo, hi), (nxt, _) in zip(out, out[1:]):
-        if nxt < hi:
+        try:
+            (end - start) / den  # correctly rounded, so it overflows just when float(hi - lo) does
+        except OverflowError:
+            raise PreconditionError("an interval length is beyond the float range") from None
+    for ((_, end), (lo, hi)), ((start, _), (nxt, _)) in zip(out, out[1:]):
+        if start < end:
             raise OverlapError(f"interval [{lo}, {hi}) overlaps the one starting at {nxt}")
-    return tuple(out)
+    return tuple([pair for _, pair in out])
 
 
 def lcd(values: Iterable[RationalLike | float]) -> int:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domains import as_fraction, finite_float, lcd
+from .domains import as_fraction, finite_float
 from .errors import PreconditionError
 
 __all__ = [
@@ -52,11 +52,13 @@ def unit_phases(xs: Sequence, ys: Sequence) -> np.ndarray:
 
     Over common denominators x = X/Q and y = Y/P, the phase ``x y mod 1`` is
     ``(X Y mod QP) / QP``: reduced in integers and rounded once, however large
-    x or y is.  A float converts exactly.
+    x or y is.  An int or a Fraction is read as it is, and a float converts
+    exactly.
     """
-    xs = [as_fraction(x) for x in xs]
-    ys = [as_fraction(y) for y in ys]
-    q, p = lcd(xs), lcd(ys)
+    xs = [x if isinstance(x, (int, Fraction)) else as_fraction(x) for x in xs]
+    ys = [y if isinstance(y, (int, Fraction)) else as_fraction(y) for y in ys]
+    q = math.lcm(*[x.denominator for x in xs])
+    p = math.lcm(*[y.denominator for y in ys])
     mod = q * p
     rows = [x.numerator * (q // x.denominator) for x in xs]
     cols = [y.numerator * (p // y.denominator) % mod for y in ys]

@@ -199,11 +199,13 @@ class GramForm:
     H_q = (1/Q) sum_{|d| <= 2 n_max} T[., ., 2 n_max + d] e^{-2 pi i d q / Q}.
     The form keeps only the symbol, Q Hermitian branches x branches blocks
     (G has (2 n_max + 1)^2 blocks of that size).  ``apply`` gives G c and
-    ``quadratic_forms`` gives c* G c, both from the symbol.
+    ``quadratic_forms`` gives c* G c, both from the symbol and from F, which
+    the form keeps as ``dft``.
     """
 
     symbol: np.ndarray
     n_max: int
+    dft: np.ndarray
 
     @classmethod
     def build(cls, system: ExponentSystem, u, n_max: int = 8) -> "GramForm":
@@ -227,11 +229,12 @@ class GramForm:
         lags = _nonnegative_lags(system, u, n_max)
         lags[0] *= 0.5
         q = 4 * n_max + 1
-        symbol = (_dft(n_max) @ lags.reshape(2 * n_max + 1, -1)).reshape(q, *lags.shape[1:])
+        f = _dft(n_max)
+        symbol = (f @ lags.reshape(2 * n_max + 1, -1)).reshape(q, *lags.shape[1:])
         symbol /= q
         for block in symbol:
             block += block.conj().T
-        return cls(symbol=symbol, n_max=n_max)
+        return cls(symbol=symbol, n_max=n_max, dft=f)
 
     @property
     def branches(self) -> int:
@@ -244,10 +247,9 @@ class GramForm:
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         """G c for a vector c, or for each column of a size x k matrix."""
         c = np.asarray(coeffs, dtype=complex)
-        f = _dft(self.n_max)
-        spectra = np.matmul(f, c.reshape(self.branches, 2 * self.n_max + 1, -1))
+        spectra = np.matmul(self.dft, c.reshape(self.branches, 2 * self.n_max + 1, -1))
         spectra = np.matmul(self.symbol, spectra.transpose(1, 0, 2))
-        return np.matmul(f.conj().T, spectra.transpose(1, 0, 2)).reshape(c.shape)
+        return np.matmul(self.dft.conj().T, spectra.transpose(1, 0, 2)).reshape(c.shape)
 
     def quadratic_forms(self, coeffs: np.ndarray) -> np.ndarray:
         """c* G c for every column c of ``coeffs`` (size x trials), real.
@@ -260,7 +262,7 @@ class GramForm:
         """
         trials = coeffs.shape[1]
         rows = coeffs.T.reshape(trials * self.branches, 2 * self.n_max + 1)
-        spectra = (_dft(self.n_max) @ rows.T).reshape(-1, trials, self.branches)
+        spectra = (self.dft @ rows.T).reshape(-1, trials, self.branches)
         forms = np.zeros(trials)
         for spectrum, block in zip(spectra, self.symbol):
             forms += np.vecdot(spectrum, spectrum @ block.T).real

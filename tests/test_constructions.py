@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from expobasis import (
     ExponentSystem,
     FrameCertificate,
     LatticeError,
+    OverlapError,
     PreconditionError,
     ResidueClashError,
     SeparationError,
@@ -38,7 +40,7 @@ from expobasis import (
     threshold_u,
     verify_certificate,
 )
-from expobasis import certificate_from_json, certificate_to_json
+from expobasis import certificate_from_json, certificate_to_json, lcd
 
 
 def oracle_contained(cert):
@@ -196,6 +198,15 @@ def test_perturbed_union_preconditions():
         construct_perturbed_union(2, [0, 3], [Fraction(0)], 0.05)
     with pytest.raises(PreconditionError):
         construct_perturbed_union(2, [1, 4], zeros, 0.05)
+
+
+def test_perturbed_intervals_that_overlap_are_refused_before_the_window():
+    # [1/6 + 1, 1/6 + 2) and [2 - 1/3, 3 - 1/3) overlap by 1/2
+    eps = [Fraction(0), Fraction(1, 6), Fraction(-1, 3)]
+    with pytest.raises(OverlapError):
+        delta_window_perturbed_union(3, [0, 1, 2], eps)
+    with pytest.raises(OverlapError):
+        construct_perturbed_union(3, [0, 1, 2], eps, 1.0)
 
 
 # --- lattice subsets ----------------------------------------------------------------------
@@ -459,6 +470,43 @@ def test_unit_grid_matrix_matches_the_construction_formula(build, expected):
     assert scale == 1.0
     assert matrix.nodes == want.nodes
     assert float(abs(matrix.entries - want.entries).max()) <= 1e-12
+
+
+def _node_matrix_from_fractions(cert):
+    """The node matrix by Fraction arithmetic alone: endpoints divided by c,
+    branches (r + phi)/D as Fractions."""
+    c = cert.system.domain_scale
+    pieces = [(lo / c, hi / c) for lo, hi in cert.domain_intervals]
+    d = lcd([x for piece in pieces for x in piece])
+    nodes = [p for lo, hi in pieces for p in range(int(lo * d), int(hi * d))]
+    branches = [(r + phi) / d for phi in cert.system.branch_offsets for r in range(d)]
+    return build_gamma(branches, nodes), float(d / c)
+
+
+@pytest.mark.parametrize("build, d", [
+    (lambda: construct_interval_removal(9, 3, 0.01), 1),
+    (lambda: construct_perturbed_union(2, [0, 3], [Fraction(0), Fraction(1, 3)], 0.0006), 3),
+    (lambda: construct_perturbed_union(2, [0, 1], [Fraction(0), Fraction(1, 4)],
+                                       0.0005416971729666823), 4),
+    (lambda: construct_perturbed_union(2, [0, 1], [Fraction(0), Fraction(3, 10)],
+                                       -1.349625582624321e-05), 10),
+    (lambda: complement_certificate(9, FrameCertificate(
+        method="residue_orthogonal", A=1.0, B=1.0,
+        system=ExponentSystem((Fraction(0),), domain_scale=Fraction(3)),
+        domain_intervals=((Fraction(0), Fraction(3)),))), 1),
+    # [0, 1/3) u [1/2, 3/2) over c = 2/3 is [0, 1/2) u [3/4, 9/4)
+    (lambda: FrameCertificate(
+        method="lattice_subset", A=0.0, B=4.0,
+        system=ExponentSystem((Fraction(0), Fraction(1, 2)), domain_scale=Fraction(2, 3)),
+        domain_intervals=((Fraction(0), Fraction(1, 3)), (Fraction(1, 2), Fraction(3, 2)))), 4),
+], ids=["D1", "D3", "D4", "D10", "complement_scale_3", "scale_2_3_D4"])
+def test_node_matrix_is_bitwise_the_fraction_built_one(build, d):
+    cert = build()
+    matrix, scale = associated_matrix(cert)
+    want, want_scale = _node_matrix_from_fractions(cert)
+    assert matrix.size == d * cert.system.branches
+    assert (matrix.nodes, matrix.deltas, scale) == (want.nodes, want.deltas, want_scale)
+    assert np.array_equal(matrix.entries.view(np.uint64), want.entries.view(np.uint64))
 
 
 # --- certificate container ------------------------------------------------------------------------

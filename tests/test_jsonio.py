@@ -1,5 +1,6 @@
 """Deterministic JSON encoding with exact float round-trips."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -52,8 +53,40 @@ def test_key_order_preserved_and_deterministic():
 
 
 def test_unserializable_objects_rejected():
-    with pytest.raises(PreconditionError):
-        dumps({"x": object()})
+    for bad in ({"x": object()}, {"k": [1, {2}]}, {(1, 2): 0}, [Fraction(1, 2), 1j]):
+        with pytest.raises(PreconditionError):
+            dumps(bad)
+
+
+def _stdlib_fraction(obj):
+    if isinstance(obj, Fraction):
+        return {"num": obj.numerator, "den": obj.denominator}
+    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, "\u00e9\n\"\\\t\x00\ud83d", "\U0001f600"]),
+    st.fractions(),
+)
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.integers(), st.booleans(), st.none(),
+                                  st.floats(allow_nan=False, allow_infinity=False)),
+                        inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@given(_DOCUMENTS)
+def test_dumps_is_the_stdlib_text_byte_for_byte(doc):
+    want = json.dumps(doc, indent=2, allow_nan=False, default=_stdlib_fraction) + "\n"
+    assert dumps(doc) == want
 
 
 def test_loads_reports_error_position():

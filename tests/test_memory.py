@@ -66,3 +66,16 @@ def test_oracle_pipeline_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert growth < 96 * 1024, f"traced memory grew by {growth / 1024:.1f} KB over 200 calls"
+
+
+def test_dumps_leaves_nothing_for_the_cyclic_collector():
+    doc = xb.certificate_to_json(xb.construct_interval_removal(17, 5, 0.003))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            jsonio.dumps(doc)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0, f"100 calls left {unreachable} objects in reference cycles"
