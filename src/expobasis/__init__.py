@@ -29,14 +29,12 @@ from .constructions import (
     delta_window_perturbed_union,
     residue_orthogonal_basis,
     separation_margin,
-    signed_sin_ratio,
     solve_beta,
     threshold_u,
 )
 from .domains import (
     ExponentSystem,
     as_fraction,
-    lcd,
     residues_distinct,
     validated_intervals,
 )
@@ -57,7 +55,6 @@ from .errors import (
     VerificationError,
 )
 from .spectral import (
-    Condition,
     SingularSpectrum,
     is_singular,
     optimal_frame_constants,

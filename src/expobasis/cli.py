@@ -125,7 +125,7 @@ def _oracle_doc(cert: FrameCertificate) -> dict | None:
     spectrum = singular_values(matrix)
     return {
         "values": list(spectrum.values),
-        "condition": spectrum.condition.value,
+        "condition": "numerically_singular" if spectrum.is_singular else "nonsingular",
         "A_opt": spectrum.sigma_min ** 2,
         "B_opt": spectrum.sigma_max ** 2,
         "scale": scale,

@@ -1,7 +1,8 @@
 """Cluster partitions of matrix columns, their block spectra and principal angles.
 
-Columns of a uniform node matrix whose pairwise coherence (the sine-ratio of
-their node difference) reaches a threshold are grouped into clusters.
+Columns of a uniform node matrix with L rows whose pairwise coherence (the
+sine ratio of their node difference) reaches the fixed threshold L sin(1/L),
+``default_threshold``, are grouped into clusters.
 ``cluster_spectrum`` gives a cluster's singular values in closed form and
 ``principal_angle_check`` the exact smallest angle between cluster spans.
 """
@@ -45,7 +46,6 @@ class ClusterPartition:
     nodes: tuple[int, ...]
     spacing: Fraction
     length: int
-    threshold: float
     chained: bool
 
     @property
@@ -53,13 +53,8 @@ class ClusterPartition:
         return max(len(c) for c in self.clusters)
 
 
-def partition_by_coherence(
-    nodes: Sequence[int],
-    spacing,
-    length: int,
-    threshold: float | None = None,
-) -> ClusterPartition:
-    """Group column indices whose pairwise coherence is >= threshold.
+def partition_by_coherence(nodes: Sequence[int], spacing, length: int) -> ClusterPartition:
+    """Group column indices whose pairwise coherence is >= ``default_threshold(length)``.
 
     Components are connected components of the thresholded coherence graph
     (ties join a cluster).
@@ -70,9 +65,7 @@ def partition_by_coherence(
         raise PreconditionError("partition needs at least one node")
     if length < 1:
         raise PreconditionError(f"column length must be >= 1, got {length}")
-    tau = default_threshold(length) if threshold is None else float(threshold)
-    if not 0.0 < tau < length:
-        raise PreconditionError(f"threshold must lie in (0, L)={length}, got {tau}")
+    tau = default_threshold(length)
 
     coh = np.zeros((n, n))
     for i in range(n):
@@ -106,7 +99,6 @@ def partition_by_coherence(
         nodes=tuple([int(v) for v in nodes]),
         spacing=spacing,
         length=length,
-        threshold=tau,
         chained=chained,
     )
 

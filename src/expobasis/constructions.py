@@ -32,7 +32,6 @@ from .domains import (
     finite_float,
     fraction_from_json,
     fraction_to_json,
-    lcd,
     residues_distinct,
     validated_intervals,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "CONSTRUCTIONS",
     "FrameCertificate",
     "METHODS",
-    "signed_sin_ratio",
     "solve_beta",
     "delta_window_perturbed_union",
     "construct_perturbed_union",
@@ -89,17 +87,6 @@ METHODS = tuple(CONSTRUCTIONS)
 
 
 # --- scalar helpers -------------------------------------------------------
-
-def signed_sin_ratio(m: int, t: float) -> float:
-    """sin(pi m t) / sin(pi t), with the removable value m*(-1)^(k(m-1)) at t = k."""
-    if m < 1:
-        raise PreconditionError(f"m must be >= 1, got {m}")
-    t = float(t)
-    k = round(t)
-    if t == k:
-        return float(m) * (-1.0) ** (k * (m - 1))
-    return math.sin(math.pi * m * t) / math.sin(math.pi * t)
-
 
 @dataclass(frozen=True)
 class BetaSolution:
@@ -133,14 +120,14 @@ def solve_beta(m: int) -> BetaSolution:
     iterations = 0
     for iterations in range(1, 201):
         beta = 0.5 * (lo + hi)
-        r = signed_sin_ratio(m, beta) - target
+        r = sin_ratio(m, beta) - target
         if abs(r) <= 1e-13 or hi - lo <= 1e-18:
             break
         if r > 0.0:
             lo = beta
         else:
             hi = beta
-    residual = abs(signed_sin_ratio(m, beta) - target)
+    residual = abs(sin_ratio(m, beta) - target)
     return BetaSolution(m=m, beta=beta, residual=residual, iterations=iterations)
 
 
@@ -234,7 +221,7 @@ def delta_window_perturbed_union(s: int, a: Sequence[int], eps: Sequence):
     for every M = sN >= 2.
     """
     a, eps = _validated_perturbation(s, a, eps)
-    n = lcd(eps)
+    n = math.lcm(*[e.denominator for e in eps])
     m_frac = n * (a[-1] + eps[-1])
     assert m_frac.denominator == 1
     m = int(m_frac)
@@ -618,10 +605,11 @@ def certificate_to_json(cert: FrameCertificate) -> dict:
 
 
 def _read(doc: dict, key: str, parse):
-    """parse(doc[key]); a missing or ill-typed value raises a PreconditionError naming the key."""
+    """parse(doc[key]); a missing, ill-typed or too deeply nested value raises a
+    PreconditionError naming the key."""
     try:
         return parse(doc[key])
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, RecursionError) as exc:
         raise PreconditionError(f"certificate key {key!r} is missing or ill-typed: {exc!r}") from exc
 
 

@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 
 from .errors import OverlapError, PreconditionError
 
-RationalLike = int | Fraction
 Interval = tuple[Fraction, Fraction]
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "finite_float",
     "fraction_to_json",
     "fraction_from_json",
-    "lcd",
     "residues_distinct",
     "validated_intervals",
 ]
@@ -98,14 +96,6 @@ def validated_intervals(pairs: Iterable) -> tuple[Interval, ...]:
         if start < end:
             raise OverlapError(f"interval [{lo}, {hi}) overlaps the one starting at {nxt}")
     return tuple([pair for _, pair in out])
-
-
-def lcd(values: Iterable[RationalLike | float]) -> int:
-    """Least common denominator of a nonempty collection of rationals."""
-    fracs = [as_fraction(v) for v in values]
-    if not fracs:
-        raise PreconditionError("lcd of an empty collection")
-    return lcm(*[f.denominator for f in fracs])
 
 
 def residues_distinct(endpoints: Sequence[int], modulus: int) -> bool:

@@ -1,20 +1,20 @@
 """Deterministic JSON output with exact float round-trips.
 
 ``dumps`` writes JSON at indent 2 with a trailing newline, byte for byte what
-the stdlib's ``json.dumps(obj, indent=2, allow_nan=False)`` writes, with a
-``Fraction`` written as ``{"num": p, "den": q}``: strings
-are escaped to ASCII, floats print as their shortest ``repr``, which reads
-back as the same float64.  It writes the text directly: at an indent the
-stdlib runs its pure-Python encoder, whose closures leave reference cycles
-behind every call.  Parsing wraps the stdlib decoder to surface the
-line/column of the first syntax error.
+the stdlib's ``json.dumps(obj, indent=2, allow_nan=False)`` writes for
+documents whose keys are strings: strings are escaped to ASCII, floats print
+as their shortest ``repr``, which reads back as the same float64.  A
+``Fraction`` has no form here; ``fraction_to_json`` (``domains``) writes it
+before a document reaches ``dumps``.  It writes the text directly: at an
+indent the stdlib runs its pure-Python encoder, whose closures leave
+reference cycles behind every call.  Parsing wraps the stdlib decoder to
+surface the line/column of the first syntax error.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 
 from .errors import JsonInputError, PreconditionError
 
@@ -46,12 +46,6 @@ def _leaf(obj) -> str:
 _COMMON_LEAVES = {str: _quote, int: int.__repr__}
 
 
-def _key(key) -> str:
-    if key is None or isinstance(key, (int, float)):
-        return _leaf(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def _write(obj, out: list, indent: str) -> None:
     """Append the text of ``obj`` to ``out``; ``indent`` is a newline and the
     spaces of obj's own nesting level."""
@@ -78,20 +72,21 @@ def _write(obj, out: list, indent: str) -> None:
         out.append("{")
         sep = inner
         for key, value in obj.items():
-            out.append(sep + _quote(key if isinstance(key, str) else _key(key)) + ": ")
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _quote(key) + ": ")
             _write(value, out, inner)
             sep = "," + inner
         out.append(indent + "}")
-    elif isinstance(obj, Fraction):
-        _write({"num": obj.numerator, "den": obj.denominator}, out, indent)
     else:
         out.append(_leaf(obj))
 
 
 def dumps(obj) -> str:
     """``obj`` as indent-2 JSON plus a newline.  A non-finite float, a value
-    or key of a type JSON has no form for, and a document that contains
-    itself (or nests past the recursion limit) raise ``PreconditionError``."""
+    of a type JSON has no form for (a ``Fraction`` among them), a key that is
+    not a string, and a document that contains itself (or nests past the
+    recursion limit) raise ``PreconditionError``."""
     out: list[str] = []
     try:
         _write(obj, out, "\n")
@@ -102,6 +97,8 @@ def dumps(obj) -> str:
 
 
 def loads(text: str):
+    """Parse JSON text.  A syntax error, nesting past the recursion limit and
+    an integer past the interpreter's digit limit raise ``JsonInputError``."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -109,3 +106,5 @@ def loads(text: str):
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             line=exc.lineno, column=exc.colno,
         ) from exc
+    except (RecursionError, ValueError) as exc:
+        raise JsonInputError(f"malformed JSON: {exc}") from exc

@@ -4,28 +4,24 @@ The singular values of Gamma come from the LAPACK SVD (``np.linalg.svd``).
 It is backward stable, so every singular value is exact to about machine
 precision times sigma_max.  That is all the singularity threshold (1e-10
 relative to sigma_max) needs; relative accuracy on tiny singular values is
-not used.  For a fixed input the result is deterministic.
+not used.  For a fixed input the result is deterministic.  The verdict is
+the ``is_singular`` field of the spectrum; the CLI writes it as
+``"numerically_singular"`` or ``"nonsingular"``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import PreconditionError
 from .vandermonde import NodeMatrix
 
-__all__ = ["Condition", "SingularSpectrum", "singular_values", "optimal_frame_constants", "is_singular"]
+__all__ = ["SingularSpectrum", "singular_values", "optimal_frame_constants", "is_singular"]
 
 #: sigma_min < SINGULAR_RTOL * sigma_max flags the matrix as numerically singular
 SINGULAR_RTOL = 1e-10
-
-
-class Condition(Enum):
-    NONSINGULAR = "nonsingular"
-    NUMERICALLY_SINGULAR = "numerically_singular"
 
 
 @dataclass(frozen=True)
@@ -33,7 +29,7 @@ class SingularSpectrum:
     """Singular values in descending order plus a singularity verdict."""
 
     values: tuple[float, ...]
-    condition: Condition
+    is_singular: bool
 
     @property
     def sigma_max(self) -> float:
@@ -42,10 +38,6 @@ class SingularSpectrum:
     @property
     def sigma_min(self) -> float:
         return self.values[-1]
-
-    @property
-    def is_singular(self) -> bool:
-        return self.condition is Condition.NUMERICALLY_SINGULAR
 
 
 def singular_values(matrix: NodeMatrix | np.ndarray) -> SingularSpectrum:
@@ -58,7 +50,7 @@ def singular_values(matrix: NodeMatrix | np.ndarray) -> SingularSpectrum:
     Returns
     -------
     SingularSpectrum
-        Values sorted descending; ``condition`` is NUMERICALLY_SINGULAR when
+        Values sorted descending; ``is_singular`` is True when
         sigma_min < 1e-10 * sigma_max.
     """
     entries = matrix.entries if isinstance(matrix, NodeMatrix) else np.asarray(matrix)
@@ -69,10 +61,7 @@ def singular_values(matrix: NodeMatrix | np.ndarray) -> SingularSpectrum:
     values = tuple(np.linalg.svd(entries, compute_uv=False).tolist())
     smax = values[0]
     singular = smax == 0.0 or values[-1] < SINGULAR_RTOL * smax
-    return SingularSpectrum(
-        values=values,
-        condition=Condition.NUMERICALLY_SINGULAR if singular else Condition.NONSINGULAR,
-    )
+    return SingularSpectrum(values=values, is_singular=singular)
 
 
 def optimal_frame_constants(matrix: NodeMatrix | np.ndarray) -> tuple[float, float]:

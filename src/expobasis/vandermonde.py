@@ -96,9 +96,8 @@ def progression_matrix(nodes: Sequence[int], spacing) -> NodeMatrix:
 
 def _wrap_value(x) -> Fraction:
     """Exact distance from x to the nearest integer, in [0, 1/2]."""
-    f = as_fraction(x)
-    r = f - (f.numerator // f.denominator)
-    return min(r, 1 - r)
+    p, q = as_fraction(x).as_integer_ratio()
+    return Fraction(min(p % q, q - p % q), q)
 
 
 def sin_ratio(m: int, x) -> float:

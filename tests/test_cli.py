@@ -70,6 +70,19 @@ def test_oracle_reports_optimal_constants(run):
     assert oracle["B_opt"] == pytest.approx(2.0, abs=1e-9)
 
 
+def test_oracle_reports_a_singular_node_matrix(run):
+    # offsets {0, 1/2} on [0, 1) u [2, 3): both columns of Gamma are (1, 1)
+    _, cert_text, _ = run(["certify", "residue-orthogonal", "--s", "2", "--a", "0,3"])
+    doc = json.loads(cert_text)
+    doc["domain"]["intervals"] = [
+        {"start": {"num": lo, "den": 1}, "end": {"num": lo + 1, "den": 1}} for lo in (0, 2)]
+    code, out, _ = run(["oracle", "--input", json.dumps(doc)])
+    assert code == 0
+    oracle = loads(out)["oracle"]
+    assert oracle["condition"] == "numerically_singular"
+    assert oracle["A_opt"] == pytest.approx(0.0, abs=1e-12)
+
+
 def test_verify_pass_is_exit_zero(run):
     code, out, _ = run(["verify", "residue-orthogonal", "--s", "2", "--a", "0,3",
                         "--trials", "10"])
@@ -151,6 +164,32 @@ def test_malformed_json_is_exit_three(run):
     code, _, err = run(["verify", "--input", "{bad"])
     assert code == 3
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("text", ["[" * 200_000 + "]" * 200_000, '{"A": ' + "1" * 5001 + "}"],
+                         ids=["deep_array", "long_integer"])
+def test_json_past_the_parser_limits_is_exit_three(run, tmp_path, text):
+    # past the recursion limit and past the interpreter's integer digit limit
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run(["verify", "--input", str(path)])
+    assert (code, out) == (3, "")
+    assert err.startswith("error [JsonInputError]: malformed JSON")
+
+
+def test_deeply_nested_params_are_a_named_error(run, tmp_path):
+    _, cert_text, _ = run(["certify", "residue-orthogonal", "--s", "2", "--a", "0,3"])
+    doc = json.loads(cert_text)
+    nested = 1
+    for _ in range(600):
+        nested = [nested]
+    doc["params"]["nested"] = nested
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["certify", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error [PreconditionError]")
+    assert "'params'" in err
 
 
 def _drop(key):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from expobasis import (
     ClusterSizeError,
-    PreconditionError,
     RankDeficientError,
     cluster_spectrum,
     coherence,
@@ -74,13 +73,6 @@ def test_partition_is_order_independent():
     assert _cross_coherence(a) == pytest.approx(_cross_coherence(b), abs=1e-12)
 
 
-def test_partition_rejects_bad_threshold():
-    with pytest.raises(PreconditionError):
-        partition_by_coherence([0, 1], 0.1, 3, threshold=0.0)
-    with pytest.raises(PreconditionError):
-        partition_by_coherence([0, 1], 0.1, 3, threshold=3.0)
-
-
 # --- per-cluster spectra ---------------------------------------------------------
 
 def test_singleton_spectrum_is_column_norm():
@@ -102,12 +94,14 @@ def test_pair_spectrum_matches_block_svd():
 
 
 def test_triple_cluster_has_no_closed_form():
-    # a tiny threshold chains everything into one component
-    part = partition_by_coherence([0, 1, 2], 0.29, 3, threshold=0.05)
-    assert part.max_cluster_size == 3
-    assert part.chained or len(part.clusters[0]) > 2
-    with pytest.raises(ClusterSizeError):
-        cluster_spectrum(part, 0)
+    # at 3/100 every pair clears 3 sin(1/3) = 0.98; at 1/5 the neighbours do
+    # (1.618) but the outer pair does not (0.618), so the component is a chain
+    for spacing, chained in ((Fraction(3, 100), False), (Fraction(1, 5), True)):
+        part = partition_by_coherence([0, 1, 2], spacing, 3)
+        assert part.clusters == ((0, 1, 2),)
+        assert part.chained is chained
+        with pytest.raises(ClusterSizeError):
+            cluster_spectrum(part, 0)
 
 
 # --- the pairwise angle against the exact one ------------------------------------

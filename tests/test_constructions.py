@@ -33,14 +33,13 @@ from expobasis import (
     progression_matrix,
     residue_orthogonal_basis,
     separation_margin,
-    signed_sin_ratio,
     sin_ratio,
     singular_values,
     solve_beta,
     threshold_u,
     verify_certificate,
 )
-from expobasis import certificate_from_json, certificate_to_json, lcd
+from expobasis import certificate_from_json, certificate_to_json
 
 
 def oracle_contained(cert):
@@ -48,32 +47,7 @@ def oracle_contained(cert):
     return not any(v["route"] == "oracle" for v in verify_certificate(cert).violations)
 
 
-# --- signed sine ratio and beta ----------------------------------------------------
-
-def test_signed_sin_ratio_pair_is_cosine():
-    for t in (0.0, 0.1, 0.25, 0.49, 0.5, 0.9):
-        assert signed_sin_ratio(2, t) == pytest.approx(2 * math.cos(math.pi * t), abs=1e-12)
-
-
-@pytest.mark.parametrize("m, k", [(2, 1), (3, 1), (3, 2), (4, 1), (5, 2)])
-def test_signed_sin_ratio_at_integers(m, k):
-    assert signed_sin_ratio(m, k) == pytest.approx(m * (-1) ** (k * (m - 1)), abs=1e-9)
-
-
-@given(st.integers(2, 40), st.floats(-2, 2))
-def test_signed_sin_ratio_is_recentred_geometric_sum(m, t):
-    from hypothesis import assume
-    # the signed variant is only used strictly inside (0, 1); it does not
-    # promise wrapped-argument accuracy in 1e-12 neighborhoods of integers
-    assume(abs(t - round(t)) >= 1e-4)
-    total = sum(complex(math.cos(2 * math.pi * t * j), math.sin(2 * math.pi * t * j))
-                for j in range(m))
-    recentred = total * complex(math.cos(-math.pi * t * (m - 1)),
-                                math.sin(-math.pi * t * (m - 1)))
-    assert abs(recentred.imag) < 1e-9
-    assert signed_sin_ratio(m, t) == pytest.approx(recentred.real, abs=1e-9)
-    assert abs(signed_sin_ratio(m, t)) == pytest.approx(sin_ratio(m, t), abs=1e-9)
-
+# --- beta ---------------------------------------------------------------------------
 
 def test_solve_beta_closed_form_pair():
     sol = solve_beta(2)
@@ -477,7 +451,7 @@ def _node_matrix_from_fractions(cert):
     branches (r + phi)/D as Fractions."""
     c = cert.system.domain_scale
     pieces = [(lo / c, hi / c) for lo, hi in cert.domain_intervals]
-    d = lcd([x for piece in pieces for x in piece])
+    d = math.lcm(*[x.denominator for piece in pieces for x in piece])
     nodes = [p for lo, hi in pieces for p in range(int(lo * d), int(hi * d))]
     branches = [(r + phi) / d for phi in cert.system.branch_offsets for r in range(d)]
     return build_gamma(branches, nodes), float(d / c)

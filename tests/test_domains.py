@@ -1,5 +1,6 @@
 """The domain rule, grid dilation, and exponent systems."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,16 +16,10 @@ from expobasis import (
     associated_matrix,
     certificate_from_json,
     certificate_to_json,
-    lcd,
     residues_distinct,
     validated_intervals,
 )
 from expobasis.domains import fraction_from_json, fraction_to_json
-
-
-fractions_st = st.fractions(
-    min_value=Fraction(-50), max_value=Fraction(50), max_denominator=24
-)
 
 
 def sorted_endpoints(draws):
@@ -38,7 +33,7 @@ def sorted_endpoints(draws):
     return out
 
 
-# --- as_fraction / lcd ------------------------------------------------------
+# --- as_fraction -----------------------------------------------------------
 
 @pytest.mark.parametrize("value, expected", [
     ("3/4", Fraction(3, 4)),
@@ -57,33 +52,6 @@ def test_as_fraction_rejects_garbage():
         as_fraction("3/4/5")
     with pytest.raises(ValueError):
         as_fraction(float("nan"))
-
-
-@pytest.mark.parametrize("values, expected", [
-    ([0, Fraction(1, 3), Fraction(1, 2)], 6),
-    ([0], 1),
-    ([Fraction(1, 4), Fraction(5, 6), Fraction(-3, 10)], 60),
-    ([Fraction(2, 4)], 2),
-])
-def test_lcd(values, expected):
-    assert lcd(values) == expected
-
-
-def test_lcd_empty_rejected():
-    with pytest.raises(PreconditionError):
-        lcd([])
-
-
-@given(st.lists(fractions_st, min_size=1, max_size=6))
-def test_lcd_clears_denominators(values):
-    n = lcd(values)
-    assert n >= 1
-    for v in values:
-        assert (v * n).denominator == 1
-    # minimality: no proper divisor of n works
-    for d in range(1, n):
-        if n % d == 0 and all((v * d).denominator == 1 for v in values):
-            pytest.fail(f"{d} already clears denominators, lcd returned {n}")
 
 
 # --- the domain rule -----------------------------------------------------------
@@ -190,7 +158,7 @@ grid_endpoint_lists = st.lists(
 @given(grid_endpoint_lists)
 def test_normalize_node_count_is_scale_times_measure(endpoints):
     matrix, scale = _node_matrix(endpoints)
-    d = lcd(endpoints)
+    d = math.lcm(*[x.denominator for x in endpoints])
     assert scale == d
     assert len(set(matrix.nodes)) == len(matrix.nodes) == d * len(endpoints)
     # nodes tile each dilated interval contiguously

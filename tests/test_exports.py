@@ -1,0 +1,36 @@
+"""Each module's ``__all__`` names only what the module defines, and the package
+re-exports only names its home modules export."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import expobasis
+
+PACKAGE = Path(expobasis.__file__).parent
+MODULES = sorted(info.name for info in pkgutil.iter_modules([str(PACKAGE)]))
+
+
+def _exported(module: str) -> set[str]:
+    """The names ``from expobasis.<module> import *`` binds."""
+    namespace: dict = {}
+    exec(f"from expobasis.{module} import *", namespace)
+    return set(namespace) - {"__builtins__"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_all_resolves(name):
+    module = importlib.import_module(f"expobasis.{name}")
+    stale = [entry for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
+    assert not stale, stale
+
+
+def test_every_reexport_is_in_its_home_modules_all():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    missing = [f"{node.module}.{alias.name}" for node in imports
+               for alias in node.names if alias.name not in _exported(node.module)]
+    assert imports and not missing, missing

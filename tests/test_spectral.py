@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from expobasis import (
-    Condition,
     PreconditionError,
     build_gamma,
     is_singular,
@@ -28,7 +27,7 @@ def random_gamma(rng, size):
 def test_orthogonal_pair_spectrum():
     spec = singular_values(build_gamma([Fraction(0), Fraction(1, 2)], [0, 3]))
     np.testing.assert_allclose(spec.values, [math.sqrt(2), math.sqrt(2)], atol=1e-12)
-    assert spec.condition is Condition.NONSINGULAR
+    assert not spec.is_singular
     assert optimal_frame_constants(build_gamma([Fraction(0), Fraction(1, 2)], [0, 3])) == \
         pytest.approx((2.0, 2.0), abs=1e-12)
 
@@ -91,7 +90,7 @@ def test_singularity_threshold_on_a_near_coincident_pair(delta, singular):
     spec = singular_values(matrix)
     ratio = spec.sigma_min / spec.sigma_max
     assert ratio == pytest.approx(math.tan(math.pi * float(delta) / 2), rel=1e-3)
-    assert spec.condition is (Condition.NUMERICALLY_SINGULAR if singular else Condition.NONSINGULAR)
+    assert spec.is_singular is singular
     assert is_singular(matrix) is singular
 
 
