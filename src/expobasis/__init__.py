@@ -42,7 +42,6 @@ from .errors import (
     ClusterSizeError,
     ComplementRangeError,
     DeltaWindowError,
-    EmptyDeltaWindowError,
     EpsilonError,
     ExpobasisError,
     LatticeError,
@@ -75,7 +74,6 @@ from .verify import (
 from .vandermonde import (
     NodeMatrix,
     build_gamma,
-    coherence,
     progression_matrix,
     sin_ratio,
 )

@@ -34,7 +34,7 @@ from .constructions import (
 from .errors import JsonInputError, PreconditionError
 from .spectral import singular_values
 from .vandermonde import NodeMatrix
-from .verify import VerificationReport, regression_examples, verify_certificate
+from .verify import DEFAULT_SEED, VerificationReport, regression_examples, verify_certificate
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -65,7 +65,7 @@ def _resolve_seed(args) -> int:
             return int(env)
         except ValueError as exc:
             raise PreconditionError(f"EXPOBASIS_SEED must be an integer, got {env!r}") from exc
-    return 42
+    return DEFAULT_SEED
 
 
 def _load_input(value: str) -> dict:
@@ -104,11 +104,10 @@ def _certificate_for(args) -> FrameCertificate:
     return getattr(constructions, builder)(*values)
 
 
-def _matrix_summary(pair: tuple[NodeMatrix, float] | None) -> dict | None:
-    """The ``matrix`` field for an ``associated_matrix`` result."""
-    if pair is None:
+def _matrix_summary(matrix: NodeMatrix | None, scale: float | None) -> dict | None:
+    """The ``matrix`` field: the node matrix and its oracle scale, or None without one."""
+    if matrix is None:
         return None
-    matrix, scale = pair
     return {
         "size": matrix.size,
         "nodes": list(matrix.nodes),
@@ -292,8 +291,9 @@ def _run(args) -> int:
         return 0
 
     if args.subcommand == "construct":
+        matrix, scale = associated_matrix(cert) or (None, None)
         doc = {"schema": "v1", "certificate": certificate_to_json(cert),
-               "matrix": _matrix_summary(associated_matrix(cert))}
+               "matrix": _matrix_summary(matrix, scale)}
         _emit(doc, args)
         return 0
 
@@ -311,8 +311,7 @@ def _run(args) -> int:
 
     if args.subcommand == "report":
         doc, report = _verify_doc(cert, args)
-        doc["matrix"] = _matrix_summary(
-            None if report.matrix is None else (report.matrix, report.oracle_scale))
+        doc["matrix"] = _matrix_summary(report.matrix, report.oracle_scale)
         regs = regression_examples()
         doc["regressions"] = [{"name": r.name, "passed": r.passed} for r in regs]
         ok = report.ok and all(r.passed for r in regs)

@@ -2,15 +2,16 @@
 
 Columns of a uniform node matrix with L rows whose pairwise coherence (the
 sine ratio of their node difference) reaches the fixed threshold L sin(1/L),
-``default_threshold``, are grouped into clusters.
-``cluster_spectrum`` gives a cluster's singular values in closed form and
-``principal_angle_check`` the exact smallest angle between cluster spans.
+``default_threshold``, are grouped into clusters; the partition keeps that
+coherence matrix.  ``cluster_spectrum`` gives a cluster's singular values in
+closed form and ``principal_angle_check`` the exact smallest angle between
+cluster spans.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .domains import as_fraction
 from .errors import ClusterSizeError, PreconditionError, RankDeficientError
-from .vandermonde import coherence, progression_matrix
+from .vandermonde import progression_matrix, sin_ratio
 
 __all__ = [
     "ClusterPartition",
@@ -40,6 +41,7 @@ class ClusterPartition:
 
     ``chained`` marks components of size > 2 that are not coherence-cliques,
     for which the closed-form cluster spectra are unavailable anyway.
+    ``coherences[i, j]`` is the sine ratio of nodes i and j; ``==`` ignores it.
     """
 
     clusters: tuple[tuple[int, ...], ...]
@@ -47,6 +49,7 @@ class ClusterPartition:
     spacing: Fraction
     length: int
     chained: bool
+    coherences: np.ndarray = field(compare=False, repr=False)
 
     @property
     def max_cluster_size(self) -> int:
@@ -67,11 +70,6 @@ def partition_by_coherence(nodes: Sequence[int], spacing, length: int) -> Cluste
         raise PreconditionError(f"column length must be >= 1, got {length}")
     tau = default_threshold(length)
 
-    coh = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            coh[i, j] = coh[j, i] = coherence(nodes[i], nodes[j], spacing, length)
-
     parent = list(range(n))
 
     def find(i):
@@ -80,9 +78,12 @@ def partition_by_coherence(nodes: Sequence[int], spacing, length: int) -> Cluste
             i = parent[i]
         return i
 
+    coh = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            if coh[i, j] >= tau:
+            ratio = sin_ratio(length, (nodes[i] - nodes[j]) * spacing)
+            coh[i, j] = coh[j, i] = ratio
+            if ratio >= tau:
                 parent[find(i)] = find(j)
 
     groups: dict[int, list[int]] = {}
@@ -100,6 +101,7 @@ def partition_by_coherence(nodes: Sequence[int], spacing, length: int) -> Cluste
         spacing=spacing,
         length=length,
         chained=chained,
+        coherences=coh,
     )
 
 
@@ -107,15 +109,15 @@ def cluster_spectrum(partition: ClusterPartition, cluster_index: int) -> tuple[f
     """Singular values of one cluster's column block, closed form.
 
     Size 1 gives (sqrt(L),); size 2 gives sqrt(L +/- |b|) with b the pair
-    coherence.  Larger clusters have no closed form here.
+    coherence, read from the partition.  Larger clusters have no closed form
+    here.
     """
     cluster = partition.clusters[cluster_index]
     L = partition.length
     if len(cluster) == 1:
         return (math.sqrt(L),)
     if len(cluster) == 2:
-        i, j = cluster
-        b = coherence(partition.nodes[i], partition.nodes[j], partition.spacing, L)
+        b = float(partition.coherences[cluster])
         return (math.sqrt(L + b), math.sqrt(max(L - b, 0.0)))
     raise ClusterSizeError(
         f"cluster {cluster_index} has {len(cluster)} columns; closed form stops at 2"

@@ -11,9 +11,9 @@ singular-value oracle checks.
 The certified bounds are closed forms in sine ratios, the pairwise column
 coherence of a node matrix: an envelope factor ``1 -/+ M sin(1/M)``, or
 ``1 -/+ c`` with c the parity cosine bound, times a column-spread factor.  The
-paired lattice variant clusters large-coherence pairs with
-``partition_by_coherence`` and widens its spread by the largest
-within-cluster sine ratio.
+two lattice variants share one validator and one certificate body; the paired
+one clusters large-coherence pairs with ``partition_by_coherence`` and widens
+its spread by the largest within-cluster sine ratio, read from the partition.
 """
 
 from __future__ import annotations
@@ -39,10 +39,8 @@ from .errors import (
     ClusterSizeError,
     ComplementRangeError,
     DeltaWindowError,
-    EmptyDeltaWindowError,
     EpsilonError,
     LatticeError,
-    OverlapError,
     PreconditionError,
     ResidueClashError,
     SeparationError,
@@ -102,33 +100,40 @@ class BetaSolution:
             raise VerificationError(f"beta = {self.beta} escaped (0, 1/{self.m})")
 
 
+#: Largest m ``solve_beta`` takes: the window edge 1/m - beta cancels, with a
+#: relative error near m * 2**-52 (at most 2.3 m * 2**-52 on 4,000 sampled m
+#: in [1e6, 1e9]), so beyond 1e9 the edge is not given to 1e-6.
+MAX_BETA_M = 10**9
+
+
 @functools.lru_cache
 def solve_beta(m: int) -> BetaSolution:
     """Bisect for the unique beta with sin(pi m beta)/sin(pi beta) = m sin(1/m).
 
     The ratio decreases from m to 0 across (0, 1/m), so the root is simple.
-    Bisection runs until the residual drops below 1e-13 or the bracket is
-    exhausted (at most 200 steps); the reported residual is evaluated at the
-    returned double.  The solution is immutable, so it is solved once per m
-    and shared by every window and construction that asks for it.
+    Bisection runs until the residual drops below 1e-13 or the float bracket
+    is exhausted (the midpoint equals an endpoint); the reported residual is
+    evaluated at the returned double.  m above ``MAX_BETA_M`` is refused.  The
+    solution is immutable, so it is solved once per m and shared by every
+    window and construction that asks for it.
     """
     if m < 2:
         raise PreconditionError(f"need m >= 2 for a nondegenerate root, got {m}")
+    if m > MAX_BETA_M:
+        raise PreconditionError(f"need m <= MAX_BETA_M = {MAX_BETA_M} for a window edge "
+                                f"1/m - beta good to 1e-6, got {m}")
     target = m * math.sin(1.0 / m)
     lo, hi = 0.0, 1.0 / m
-    beta = 0.5 * (lo + hi)
-    iterations = 0
     for iterations in range(1, 201):
         beta = 0.5 * (lo + hi)
         r = sin_ratio(m, beta) - target
-        if abs(r) <= 1e-13 or hi - lo <= 1e-18:
+        if abs(r) <= 1e-13 or beta in (lo, hi):
             break
         if r > 0.0:
             lo = beta
         else:
             hi = beta
-    residual = abs(sin_ratio(m, beta) - target)
-    return BetaSolution(m=m, beta=beta, residual=residual, iterations=iterations)
+    return BetaSolution(m=m, beta=beta, residual=abs(r), iterations=iterations)
 
 
 # --- certificates ---------------------------------------------------------
@@ -174,7 +179,7 @@ def _vacuity_flags(a: float) -> tuple[str, ...]:
 
 # --- perturbed unions -----------------------------------------------------
 
-def _validated_perturbation(s: int, a: Sequence[int], eps: Sequence) -> tuple[list[int], list[Fraction]]:
+def _validated_perturbation(s: int, a: Sequence[int], eps: Sequence):
     if s < 1:
         raise PreconditionError(f"s must be >= 1, got {s}")
     a = [int(v) for v in a]
@@ -196,11 +201,8 @@ def _validated_perturbation(s: int, a: Sequence[int], eps: Sequence) -> tuple[li
         raise EpsilonError("canonical form requires eps_0 = 0")
     if any(abs(e) >= Fraction(1, 2) for e in eps):
         raise EpsilonError("perturbations must satisfy |eps| < 1/2 (strict)")
-    starts = [a_j + e_j for a_j, e_j in zip(a, eps)]
-    for lo, nxt in zip(starts, starts[1:]):
-        if nxt < lo + 1:
-            raise OverlapError(f"interval [{lo}, {lo + 1}) overlaps the one starting at {nxt}")
-    return a, eps
+    domain = validated_intervals([(a_j + e_j, a_j + e_j + 1) for a_j, e_j in zip(a, eps)])
+    return a, eps, domain
 
 
 def _approx(x: Fraction) -> str:
@@ -220,7 +222,11 @@ def delta_window_perturbed_union(s: int, a: Sequence[int], eps: Sequence):
     is a float through beta.  The window is never empty: 1/(2M^2) < 1/M - beta
     for every M = sN >= 2.
     """
-    a, eps = _validated_perturbation(s, a, eps)
+    a, eps, _ = _validated_perturbation(s, a, eps)
+    return _perturbed_window(s, a, eps)
+
+
+def _perturbed_window(s: int, a: list[int], eps: list[Fraction]):
     n = math.lcm(*[e.denominator for e in eps])
     m_frac = n * (a[-1] + eps[-1])
     assert m_frac.denominator == 1
@@ -232,9 +238,7 @@ def delta_window_perturbed_union(s: int, a: Sequence[int], eps: Sequence):
         raise PreconditionError("s*N >= 2 required (a single unperturbed interval needs no shift)")
     beta = solve_beta(big_m)
     lo = Fraction(1, 2 * s * s * n**3 * m)
-    hi = 1.0 / (s * n * n * m) - beta.beta / (n * m)
-    if float(lo) > hi:
-        raise EmptyDeltaWindowError(f"window [{float(lo)}, {hi}] is empty")
+    hi = 1.0 / finite_float(s * n * n * m, "s*N^2*m") - beta.beta / (n * m)
     return lo, hi, n, m, beta
 
 
@@ -246,15 +250,16 @@ def construct_perturbed_union(s: int, a: Sequence[int], eps: Sequence, delta) ->
     for 0 <= r < N, and its squared singular values must fall in [N*A, N*B]
     (see ``associated_matrix``).
     """
-    a, eps = _validated_perturbation(s, a, eps)
-    lo, hi, n, m, beta = delta_window_perturbed_union(s, a, eps)
+    a, eps, domain = _validated_perturbation(s, a, eps)
+    lo, hi, n, m, beta = _perturbed_window(s, a, eps)
     delta = as_fraction(delta)
     if not lo <= abs(delta) <= hi:
         raise DeltaWindowError(
             f"|delta| = {_approx(abs(delta))} outside [{float(lo)}, {hi}] for (s={s}, N={n}, m={m})"
         )
     big_m = s * n
-    ratio = math.sin(math.pi / (2 * n * m)) / math.sin(math.pi / (2 * s * n * n * m))
+    ratio = math.sin(math.pi / (2 * n * m)) / math.sin(
+        math.pi / finite_float(2 * s * n * n * m, "2*s*N^2*m"))
     envelope = big_m * math.sin(1.0 / big_m)
     A = (1.0 - envelope) * (big_m - ratio) / n
     B = (1.0 + envelope) * (big_m + ratio) / n
@@ -264,7 +269,7 @@ def construct_perturbed_union(s: int, a: Sequence[int], eps: Sequence, delta) ->
         A=A,
         B=B,
         system=system,
-        domain_intervals=tuple([(a_j + e_j, a_j + e_j + 1) for a_j, e_j in zip(a, eps)]),
+        domain_intervals=domain,
         params={
             "s": s,
             "a": list(a),
@@ -283,10 +288,11 @@ def construct_perturbed_union(s: int, a: Sequence[int], eps: Sequence, delta) ->
 
 def threshold_u(n: int, m: int) -> float:
     """Least real the integer shift u must exceed, by the parity of n."""
+    nf = finite_float(n, "N")
     v = m * math.sin(1.0 / m)
     if n % 2 == 0:
-        return (n / math.pi) * math.acos(v)
-    return (n / math.pi) * math.acos(v * math.cos(math.pi / (2 * n))) - 0.5
+        return (nf / math.pi) * math.acos(v)
+    return (nf / math.pi) * math.acos(v * math.cos(math.pi / (2 * nf))) - 0.5
 
 
 def separation_margin(d: int, n: int, m: int) -> Fraction:
@@ -300,7 +306,16 @@ def _parity_cos(n: int, u: int) -> float:
     return abs(math.cos(math.pi / (2 * n) + math.pi * u / n)) / math.cos(math.pi / (2 * n))
 
 
-def _validated_subset(n: int, m: int, a: Sequence[int]) -> list[int]:
+def _validated_lattice_subset(n: int, m: int, a: Sequence[int], u: int) -> list[int]:
+    if not (isinstance(n, int) and isinstance(m, int) and isinstance(u, int)):
+        raise PreconditionError("N, M, u must be integers")
+    if not (2 < m and 2 * m <= n):
+        raise PreconditionError(f"need 2 < M <= N/2, got M={m}, N={n}")
+    if u < 1:
+        raise ThresholdError(f"u must be a positive integer, got {u}")
+    thr = threshold_u(n, m)
+    if not u > thr:
+        raise ThresholdError(f"u = {u} does not exceed the admissibility threshold {thr:.6f}")
     a = sorted(int(v) for v in a)
     if len(a) != m:
         raise PreconditionError(f"need {m} endpoints, got {len(a)}")
@@ -311,16 +326,33 @@ def _validated_subset(n: int, m: int, a: Sequence[int]) -> list[int]:
     return a
 
 
-def _check_lattice_subset_params(n: int, m: int, u: int):
-    if not (isinstance(n, int) and isinstance(m, int) and isinstance(u, int)):
-        raise PreconditionError("N, M, u must be integers")
-    if not (2 < m and 2 * m <= n):
-        raise PreconditionError(f"need 2 < M <= N/2, got M={m}, N={n}")
-    if u < 1:
-        raise ThresholdError(f"u must be a positive integer, got {u}")
-    thr = threshold_u(n, m)
-    if not u > thr:
-        raise ThresholdError(f"u = {u} does not exceed the admissibility threshold {thr:.6f}")
+def _lattice_certificate(method: str, n: int, m: int, a: list[int], u: int,
+                         paired: dict[tuple[int, int], float]) -> FrameCertificate:
+    """The one lattice certificate body.  ``paired`` maps the index pairs exempt
+    from the separation check to their sine ratios, whose largest is alpha."""
+    bound = Fraction(u, n)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if (i, j) in paired:
+                continue
+            margin = separation_margin(a[j] - a[i], n, m)
+            if margin <= bound:
+                raise SeparationError(f"pair ({a[i]}, {a[j]}): margin {margin} <= u/N = {u}/{n}")
+    alpha = max(paired.values(), default=0.0)
+    c = _parity_cos(n, u)
+    A, B = (m - alpha) * (1.0 - c), (m + alpha) * (1.0 + c)
+    params = {"N": n, "M": m, "u": u, "a": list(a)}
+    if method == "lattice_subset_paired":
+        params["alpha"] = alpha
+    return FrameCertificate(
+        method=method,
+        A=A,
+        B=B,
+        system=ExponentSystem([Fraction(j, n) for j in range(m)], domain_scale=1),
+        domain_intervals=_unit_intervals(a),
+        params=params,
+        flags=_vacuity_flags(A),
+    )
 
 
 def certify_lattice_subset(n: int, m: int, a: Sequence[int], u: int) -> FrameCertificate:
@@ -329,68 +361,26 @@ def certify_lattice_subset(n: int, m: int, a: Sequence[int], u: int) -> FrameCer
     Every endpoint pair must keep wrap-metric margin > u/N (checked exactly);
     the constants are M(1 -/+ c) with c the parity cosine bound.
     """
-    _check_lattice_subset_params(n, m, u)
-    a = _validated_subset(n, m, a)
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = a[j] - a[i]
-            if separation_margin(d, n, m) <= Fraction(u, n):
-                raise SeparationError(
-                    f"pair ({a[i]}, {a[j]}): margin {separation_margin(d, n, m)} <= u/N = {u}/{n}"
-                )
-    c = _parity_cos(n, u)
-    A, B = m * (1.0 - c), m * (1.0 + c)
-    system = ExponentSystem([Fraction(j, n) for j in range(m)], domain_scale=1)
-    return FrameCertificate(
-        method="lattice_subset",
-        A=A,
-        B=B,
-        system=system,
-        domain_intervals=_unit_intervals(a),
-        params={"N": n, "M": m, "u": u, "a": list(a)},
-        flags=_vacuity_flags(A),
-    )
+    a = _validated_lattice_subset(n, m, a, u)
+    return _lattice_certificate("lattice_subset", n, m, a, u, {})
 
 
 def certify_lattice_subset_paired(n: int, m: int, a: Sequence[int], u: int) -> FrameCertificate:
     """Paired variant: clusters of <= 2 endpoints may violate the separation.
 
     Cross-cluster pairs must still satisfy it; alpha is the largest
-    within-cluster sine ratio (0 when all clusters are singletons) and the
-    constants widen to (M - alpha)(1 - c), (M + alpha)(1 + c).
+    within-cluster sine ratio, read from the partition's coherences (0 when
+    all clusters are singletons), and the constants widen to
+    (M - alpha)(1 - c), (M + alpha)(1 + c).
     """
-    _check_lattice_subset_params(n, m, u)
-    a = _validated_subset(n, m, a)
+    a = _validated_lattice_subset(n, m, a, u)
     partition = partition_by_coherence(a, Fraction(1, n), m)
     if partition.max_cluster_size > 2:
         raise ClusterSizeError(
             f"paired certificate needs clusters of size <= 2, found {partition.max_cluster_size}"
         )
-    where = {}
-    for ci, cluster in enumerate(partition.clusters):
-        for idx in cluster:
-            where[idx] = ci
-    alpha = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = a[j] - a[i]
-            if where[i] == where[j]:
-                alpha = max(alpha, sin_ratio(m, Fraction(d, n)))
-            elif separation_margin(d, n, m) <= Fraction(u, n):
-                raise SeparationError(
-                    f"cross-cluster pair ({a[i]}, {a[j]}) violates the separation margin"
-                )
-    c = _parity_cos(n, u)
-    A, B = (m - alpha) * (1.0 - c), (m + alpha) * (1.0 + c)
-    return FrameCertificate(
-        method="lattice_subset_paired",
-        A=A,
-        B=B,
-        system=ExponentSystem([Fraction(j, n) for j in range(m)], domain_scale=1),
-        domain_intervals=_unit_intervals(a),
-        params={"N": n, "M": m, "u": u, "a": list(a), "alpha": alpha},
-        flags=_vacuity_flags(A),
-    )
+    paired = {c: float(partition.coherences[c]) for c in partition.clusters if len(c) == 2}
+    return _lattice_certificate("lattice_subset_paired", n, m, a, u, paired)
 
 
 # --- one interval removed -------------------------------------------------

@@ -30,10 +30,6 @@ class DeltaWindowError(PreconditionError):
     """A spectral shift delta lies outside its admissible window."""
 
 
-class EmptyDeltaWindowError(PreconditionError):
-    """The admissible delta window is empty for these parameters."""
-
-
 class SeparationError(PreconditionError):
     """A pair of endpoints violates the wrap-around separation condition."""
 

@@ -1,4 +1,4 @@
-"""Node matrices, the wrap-around distance, the sine ratio and coherence.
+"""Node matrices, the wrap-around distance and the sine ratio.
 
 A system with branch offsets ``{delta_j}`` on a union with integer nodes
 ``{p_k}`` is a Riesz basis exactly when the square matrix
@@ -6,7 +6,8 @@ A system with branch offsets ``{delta_j}`` on a union with integer nodes
 frame constants are the extreme squared singular values of Gamma.  Offsets
 are exact rationals (a float converts exactly on entry), and ``unit_phases``
 reduces the phases ``delta_j * p_k`` mod 1 in integer arithmetic, so entries
-are accurate to one rounding of the phase.
+are accurate to one rounding of the phase.  With offsets j * spacing, j < L,
+two columns have coherence ``sin_ratio(L, (p_a - p_b) * spacing)``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "build_gamma",
     "progression_matrix",
     "sin_ratio",
-    "coherence",
 ]
 
 
@@ -113,13 +113,3 @@ def sin_ratio(m: int, x) -> float:
     # the true ratio never exceeds m; min() trims float overshoot (the raw
     # quotient of two subnormal sines can exceed m by a large margin)
     return min(abs(math.sin(math.pi * m * r) / math.sin(math.pi * r)), float(m))
-
-
-def coherence(node_a: int, node_b: int, spacing, length: int) -> float:
-    """|<column_a, column_b>| for the uniform matrix with ``length`` rows.
-
-    Equals sin_ratio(length, (node_a - node_b) * spacing).
-    """
-    if node_a == node_b:
-        raise PreconditionError("coherence needs two distinct nodes")
-    return sin_ratio(length, (node_a - node_b) * as_fraction(spacing))

@@ -302,6 +302,33 @@ def test_delta_beyond_the_float_range_is_a_window_error(run, argv, delta):
     assert "1.000000e+400 outside" in err
 
 
+_BIG = "9" * 401  # an integer past the float range
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "interval-removal", "--N", _BIG, "--m", "1", "--delta", "1e-300"],
+    ["beta", "--M", _BIG],
+    ["certify", "lattice-subset", "--N", _BIG, "--M", "3", "--a", "0,1,2", "--u", "1"],
+    ["certify", "lattice-subset-paired", "--N", _BIG, "--M", "3", "--a", "0,1,2", "--u", "1"],
+    ["certify", "perturbed-union", "--s", "2", "--a", "0,1", "--epsilons", "0,1e-400",
+     "--delta", "0.1"],
+    ["certify", "perturbed-union", "--s", "2", "--a", "0,1" + "0" * 399 + "1",
+     "--epsilons", "0,0", "--delta", "0.1"],
+], ids=["interval-removal", "beta", "lattice-subset", "lattice-subset-paired",
+        "perturbed-union-grid", "perturbed-union-position"])
+def test_integers_past_the_float_range_are_a_precondition_error(run, argv):
+    code, out, err = run(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error [PreconditionError]")
+
+
+def test_beta_past_its_largest_m_is_a_precondition_error(run):
+    assert run(["beta", "--M", "1000000000"])[0] == 0
+    code, out, err = run(["beta", "--M", "1000000001"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error [PreconditionError]") and "MAX_BETA_M" in err
+
+
 @pytest.mark.parametrize("delta, code", [("-1/1700", 0), ("-1e-3", 1)])
 def test_negative_delta_after_a_space_reads_as_the_equals_form(run, delta, code):
     # -1/1700 lies in the perturbed union's window, -1e-3 outside it

@@ -11,20 +11,19 @@ from expobasis import (
     ClusterSizeError,
     RankDeficientError,
     cluster_spectrum,
-    coherence,
     default_threshold,
     partition_by_coherence,
     principal_angle_check,
     progression_matrix,
+    sin_ratio,
     singular_values,
 )
 
 
 def _cross_coherence(part) -> float:
     """The largest coherence between columns in different clusters."""
-    return max((coherence(part.nodes[min(i, j)], part.nodes[max(i, j)], part.spacing, part.length)
-                for a, ca in enumerate(part.clusters) for cb in part.clusters[a + 1:]
-                for i in ca for j in cb), default=0.0)
+    return max((part.coherences[i, j] for a, ca in enumerate(part.clusters)
+                for cb in part.clusters[a + 1:] for i in ca for j in cb), default=0.0)
 
 
 def _pairwise_alpha(part) -> float:
@@ -73,6 +72,19 @@ def test_partition_is_order_independent():
     assert _cross_coherence(a) == pytest.approx(_cross_coherence(b), abs=1e-12)
 
 
+def test_partition_keeps_each_pair_coherence_once():
+    spacing = 1.0 / 6 + 0.002
+    nodes = [0, 1, 2, 10, 11, 12]
+    part = partition_by_coherence(nodes, spacing, 6)
+    for i in range(6):
+        for j in range(6):
+            want = 0.0 if i == j else sin_ratio(6, (nodes[i] - nodes[j]) * Fraction(spacing))
+            assert part.coherences[i, j] == want
+    # the matrix is derived from the other fields, so equality ignores it
+    assert part == partition_by_coherence(nodes, spacing, 6)
+    assert part != partition_by_coherence(nodes, Fraction(1, 6), 6)
+
+
 # --- per-cluster spectra ---------------------------------------------------------
 
 def test_singleton_spectrum_is_column_norm():
@@ -88,7 +100,7 @@ def test_pair_spectrum_matches_block_svd():
     block = np.exp(2j * np.pi * np.outer(deltas, [0, 6]))
     ref = np.linalg.svd(block, compute_uv=False)
     np.testing.assert_allclose(sigmas, ref, atol=1e-10)
-    b = coherence(0, 6, spacing, 6)
+    b = sin_ratio(6, 6 * Fraction(spacing))
     assert sigmas[0] == pytest.approx(math.sqrt(6 + b), abs=1e-12)
     assert sigmas[1] == pytest.approx(math.sqrt(max(6 - b, 0.0)), abs=1e-12)
 
@@ -136,7 +148,7 @@ def test_pairwise_alpha_can_understate_subspace_overlap():
 def test_principal_angle_between_two_singletons():
     part = partition_by_coherence([0, 1], 0.38, 2)
     assert part.max_cluster_size == 1
-    expected = math.acos(coherence(0, 1, 0.38, 2) / 2)
+    expected = math.acos(sin_ratio(2, Fraction(0.38)) / 2)
     assert principal_angle_check(part) == pytest.approx(expected, abs=1e-9)
 
 

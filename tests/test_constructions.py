@@ -1,5 +1,6 @@
 """Certificate constructors: windows, closed-form constants, oracle containment."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from expobasis import (
     delta_window_interval_removal,
     delta_window_perturbed_union,
     optimal_frame_constants,
+    partition_by_coherence,
     progression_matrix,
     residue_orthogonal_basis,
     separation_margin,
@@ -40,6 +42,7 @@ from expobasis import (
     verify_certificate,
 )
 from expobasis import certificate_from_json, certificate_to_json
+from expobasis.constructions import MAX_BETA_M
 
 
 def oracle_contained(cert):
@@ -70,6 +73,26 @@ def test_solve_beta_rejects_small_m():
         solve_beta(1)
 
 
+@pytest.mark.parametrize("k", range(4, 11))
+def test_window_edge_matches_its_expansion_or_is_refused(k):
+    """1/M - beta against gamma = 1/M^2 - 1/M^3 + 5/(6 M^4), good to about
+    1e-12 for M >= 1e4, in both windows; an M whose edge cannot be given to
+    1e-6 is refused instead."""
+    big_m = 10**k
+    gamma = 1 / big_m**2 - 1 / big_m**3 + 5 / (6 * big_m**4)
+    n = big_m // 2  # a perturbed union with s = 2 and grid N: M = 2N, m = 3N + 1
+    if big_m > MAX_BETA_M:
+        with pytest.raises(PreconditionError, match="MAX_BETA_M"):
+            delta_window_interval_removal(big_m + 1)
+        with pytest.raises(PreconditionError, match="MAX_BETA_M"):
+            delta_window_perturbed_union(2, [0, 3], [Fraction(0), Fraction(1, n)])
+        return
+    _, hi, _ = delta_window_interval_removal(big_m + 1)
+    assert abs(hi - gamma) <= 1e-6 * gamma
+    _, hi, _, m, _ = delta_window_perturbed_union(2, [0, 3], [Fraction(0), Fraction(1, n)])
+    assert abs(hi * n * m - gamma) <= 1e-6 * gamma
+
+
 # --- perturbed unions ------------------------------------------------------------------
 
 def test_delta_window_unperturbed_pair():
@@ -92,6 +115,12 @@ def test_delta_window_nonempty_at_desk_scale(s):
         eps = [Fraction(0)] * (s - 1) + [eps_last]
         lo, hi, _, _, _ = delta_window_perturbed_union(s, a, eps)
         assert float(lo) < hi
+    # every grid N = 1..40 that a perturbation |eps| < 1/2 can have (not 2)
+    for n in [1, *range(3, 41)]:
+        for eps_last in [Fraction(0)] if n == 1 else [Fraction(1, n), Fraction(-1, n)]:
+            eps = [Fraction(0)] * (s - 1) + [eps_last]
+            lo, hi, grid, _, _ = delta_window_perturbed_union(s, a, eps)
+            assert grid == n and lo < hi, (s, n, eps_last)
 
 
 def test_single_interval_needs_no_shift():
@@ -233,11 +262,36 @@ def test_lattice_preconditions():
         certify_lattice_subset(12, 3, [0, 4, 8], 1.5)
 
 
+def _lattice_outcome(certify, n, m, a, u):
+    """(A, B, params) of a certificate, or (error class, message) of its refusal."""
+    try:
+        cert = certify(n, m, a, u)
+    except PreconditionError as exc:
+        return type(exc), str(exc)
+    return cert.A, cert.B, cert.params
+
+
 def test_paired_reduces_to_plain_when_all_singletons():
     plain = certify_lattice_subset(12, 3, [0, 4, 8], 1)
     paired = certify_lattice_subset_paired(12, 3, [0, 4, 8], 1)
     assert paired.A == plain.A and paired.B == plain.B
     assert paired.params.get("alpha") == 0.0
+    # every endpoint set whose partition is all singletons: the same constants,
+    # bit for bit, or the same refusal, at the least admissible u
+    for n, m in ((10, 3), (12, 4), (16, 4)):
+        u = math.floor(threshold_u(n, m)) + 1
+        admissible = 0
+        for a in itertools.combinations(range(n), m):
+            if partition_by_coherence(a, Fraction(1, n), m).max_cluster_size > 1:
+                continue
+            want = _lattice_outcome(certify_lattice_subset, n, m, a, u)
+            got = _lattice_outcome(certify_lattice_subset_paired, n, m, a, u)
+            if isinstance(want[0], float):
+                admissible += 1
+                assert got == (want[0], want[1], {**want[2], "alpha": 0.0}), (n, m, a)
+            else:
+                assert got == want, (n, m, a)
+        assert admissible > 0, (n, m)
 
 
 def test_paired_certificate_with_adjacent_pairs():
@@ -255,8 +309,12 @@ def test_paired_certificate_with_adjacent_pairs():
 def test_paired_rejects_chains_and_cross_violations():
     with pytest.raises(ClusterSizeError):
         certify_lattice_subset_paired(16, 4, [0, 1, 2, 8], 1)
-    with pytest.raises(SeparationError):
+    # the refusal names the margin, as the plain method's does; (0, 1) is a
+    # cluster, so the first pair checked is (1, 12)
+    with pytest.raises(SeparationError, match=r"^pair \(1, 12\): margin 1/16 <= u/N = 1/16$"):
         certify_lattice_subset_paired(16, 4, [0, 1, 8, 12], 1)
+    with pytest.raises(SeparationError, match=r"^pair \(0, 3\): margin 1/7 <= u/N = 1/7$"):
+        certify_lattice_subset_paired(7, 3, [0, 3, 5], 1)
 
 
 # --- interval removal -----------------------------------------------------------------------

@@ -34,3 +34,21 @@ def test_every_reexport_is_in_its_home_modules_all():
     missing = [f"{node.module}.{alias.name}" for node in imports
                for alias in node.names if alias.name not in _exported(node.module)]
     assert imports and not missing, missing
+
+
+def test_every_concrete_error_class_is_raised():
+    """Each class of ``expobasis.errors`` that has no subclass is raised by name
+    somewhere in the package, so no error type outlives its last raise."""
+    from expobasis import errors
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and c.__module__ == errors.__name__]
+    concrete = {c.__name__ for c in classes
+                if not any(o is not c and issubclass(o, c) for o in classes)}
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert concrete and not concrete - raised, sorted(concrete - raised)

