@@ -25,6 +25,7 @@ from . import constructions, jsonio
 from .constructions import (
     CONSTRUCTIONS,
     FrameCertificate,
+    MAX_BETA_M,
     METHODS,
     associated_matrix,
     certificate_from_json,
@@ -262,6 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Most rows one ``beta`` range solves before it prints any (10**4 fresh solves: ~3 s).
+MAX_BETA_ROWS = 10**4
+
+
 def _run(args) -> int:
     if args.subcommand == "regress":
         results = regression_examples()
@@ -276,6 +281,8 @@ def _run(args) -> int:
         m_hi = args.M if args.M_max is None else args.M_max
         if m_hi < args.M:
             raise PreconditionError("--M-max must be >= --M")
+        if args.M_max is not None and (m_hi > MAX_BETA_M or m_hi - args.M >= MAX_BETA_ROWS):
+            raise PreconditionError(f"need --M-max <= {MAX_BETA_M} and <= {MAX_BETA_ROWS} rows")
         rows = []
         for m in range(args.M, m_hi + 1):
             sol = solve_beta(m)

@@ -14,6 +14,9 @@ coherence of a node matrix: an envelope factor ``1 -/+ M sin(1/M)``, or
 two lattice variants share one validator and one certificate body; the paired
 one clusters large-coherence pairs with ``partition_by_coherence`` and widens
 its spread by the largest within-cluster sine ratio, read from the partition.
+
+The v1 certificate document lives here too: one encoder writes each rational
+as a ``{num, den}`` object and one strict reader reads it back.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ from .domains import (
     Interval,
     as_fraction,
     finite_float,
-    fraction_from_json,
-    fraction_to_json,
     residues_distinct,
     validated_intervals,
 )
@@ -560,17 +561,37 @@ def associated_matrix(cert: FrameCertificate) -> tuple[NodeMatrix, float] | None
 
 # --- JSON -----------------------------------------------------------------
 
-def _encode_param(v):
+def _encode(v):
+    """A ``Fraction`` as ``{num, den}``, a list or tuple element-wise, else ``v``."""
     if isinstance(v, Fraction):
-        return fraction_to_json(v)
+        return {"num": v.numerator, "den": v.denominator}
     if isinstance(v, (list, tuple)):
-        return [_encode_param(x) for x in v]
+        return [_encode(x) for x in v]
     return v
+
+
+def _rational(obj) -> Fraction:
+    """Read ``{"num": p, "den": q}``: p a JSON integer, q a positive one."""
+    p, q = (obj.get("num"), obj.get("den")) if isinstance(obj, dict) else (None, None)
+    if isinstance(p, bool) or isinstance(q, bool) or not (
+            isinstance(p, int) and isinstance(q, int) and q > 0):
+        raise PreconditionError(
+            f"malformed rational {obj!r}: need integer 'num' and positive integer 'den'")
+    return Fraction(p, q)
+
+
+def _offset(v) -> Fraction:
+    """A branch offset: a rational or, as older documents wrote it, a finite number."""
+    if isinstance(v, dict):
+        return _rational(v)
+    if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and math.isfinite(v)):
+        raise PreconditionError(f"a branch offset must be a finite number or a rational, got {v!r}")
+    return Fraction(v)
 
 
 def _decode_param(v):
     if isinstance(v, dict) and set(v) == {"num", "den"}:
-        return fraction_from_json(v)
+        return _rational(v)
     if isinstance(v, list):
         return [_decode_param(x) for x in v]
     return v
@@ -582,14 +603,11 @@ def certificate_to_json(cert: FrameCertificate) -> dict:
         "method": cert.method,
         "A": cert.A,
         "B": cert.B,
-        "system": cert.system.to_json(),
-        "domain": {
-            "intervals": [
-                {"start": fraction_to_json(lo), "end": fraction_to_json(hi)}
-                for lo, hi in cert.domain_intervals
-            ]
-        },
-        "params": {k: _encode_param(v) for k, v in cert.params.items()},
+        "system": {"branch_offsets": _encode(cert.system.branch_offsets),
+                   "domain_scale": _encode(cert.system.domain_scale)},
+        "domain": {"intervals": [{"start": _encode(lo), "end": _encode(hi)}
+                                 for lo, hi in cert.domain_intervals]},
+        "params": {k: _encode(v) for k, v in cert.params.items()},
         "flags": list(cert.flags),
     }
 
@@ -609,6 +627,12 @@ def _real(v) -> float:
     return float(v)
 
 
+def _flags(v) -> tuple[str, ...]:
+    if not (isinstance(v, list) and all(isinstance(f, str) for f in v)):
+        raise TypeError(f"expected a list of strings, got {v!r}")
+    return tuple(v)
+
+
 def certificate_from_json(doc: dict) -> FrameCertificate:
     if not isinstance(doc, dict):
         raise PreconditionError(f"a certificate must be a JSON object, got {type(doc).__name__}")
@@ -616,12 +640,12 @@ def certificate_from_json(doc: dict) -> FrameCertificate:
         raise PreconditionError(f"unsupported schema {doc.get('schema')!r}")
     return FrameCertificate(
         domain_intervals=_read(doc, "domain", lambda d: tuple([
-            (fraction_from_json(iv["start"]), fraction_from_json(iv["end"]))
-            for iv in d["intervals"]])),
+            (_rational(iv["start"]), _rational(iv["end"])) for iv in d["intervals"]])),
         method=_read(doc, "method", lambda m: m),
         A=_read(doc, "A", _real),
         B=_read(doc, "B", _real),
-        system=_read(doc, "system", ExponentSystem.from_json),
+        system=_read(doc, "system", lambda s: ExponentSystem(
+            [_offset(v) for v in s["branch_offsets"]], _rational(s["domain_scale"]))),
         params=_read(doc, "params", lambda p: {k: _decode_param(v) for k, v in p.items()}),
-        flags=_read(doc, "flags", tuple) if "flags" in doc else (),
+        flags=_read(doc, "flags", _flags) if "flags" in doc else (),
     )

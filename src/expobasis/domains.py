@@ -5,15 +5,15 @@ with ``fractions.Fraction`` endpoints; touching intervals are allowed.
 ``validated_intervals`` is the one rule that builds and checks that tuple,
 and ``FrameCertificate`` applies it to every certificate, however it was
 made.  Branch offsets and domain scales are exact too (a float converts
-exactly on entry), so truncated frequencies are exact rationals and phases
-reduce mod 1 without rounding.
+exactly on entry), so frequencies are exact and phases reduce mod 1 without
+rounding.  Nothing here knows JSON; ``constructions`` owns the document.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isfinite, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import OverlapError, PreconditionError
@@ -25,8 +25,6 @@ __all__ = [
     "Interval",
     "as_fraction",
     "finite_float",
-    "fraction_to_json",
-    "fraction_from_json",
     "residues_distinct",
     "validated_intervals",
 ]
@@ -49,23 +47,6 @@ def finite_float(x: Fraction, what: str) -> float:
         return float(x)
     except OverflowError:
         raise PreconditionError(f"{what} is beyond the float range") from None
-
-
-def fraction_to_json(x: Fraction) -> dict:
-    return {"num": x.numerator, "den": x.denominator}
-
-
-def _json_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def fraction_from_json(obj: dict) -> Fraction:
-    """Read ``{"num": p, "den": q}``: p a JSON integer, q a positive one."""
-    if not (isinstance(obj, dict) and _json_int(obj.get("num"))
-            and _json_int(obj.get("den")) and obj["den"] > 0):
-        raise PreconditionError(
-            f"malformed rational {obj!r}: need integer 'num' and positive integer 'den'")
-    return Fraction(obj["num"], obj["den"])
 
 
 def validated_intervals(pairs: Iterable) -> tuple[Interval, ...]:
@@ -150,23 +131,3 @@ class ExponentSystem:
         a, b = self.domain_scale.numerator, self.domain_scale.denominator
         return [Fraction((n * phi.denominator + phi.numerator) * b, phi.denominator * a)
                 for phi in self.branch_offsets for n in range(-n_max, n_max + 1)]
-
-    def to_json(self) -> dict:
-        return {
-            "branch_offsets": [fraction_to_json(phi) for phi in self.branch_offsets],
-            "domain_scale": fraction_to_json(self.domain_scale),
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ExponentSystem":
-        """Offsets are ``{num, den}`` objects or, as older documents wrote them, numbers."""
-        offs = [fraction_from_json(phi) if isinstance(phi, dict) else _json_number(phi)
-                for phi in doc["branch_offsets"]]
-        return cls(offs, fraction_from_json(doc["domain_scale"]))
-
-
-def _json_number(v) -> Fraction:
-    if not (_json_int(v) or isinstance(v, float) and isfinite(v)):
-        raise PreconditionError(f"a branch offset must be a finite number or a rational, got {v!r}")
-    return Fraction(v)
-

@@ -4,9 +4,9 @@
 the stdlib's ``json.dumps(obj, indent=2, allow_nan=False)`` writes for
 documents whose keys are strings: strings are escaped to ASCII, floats print
 as their shortest ``repr``, which reads back as the same float64.  A
-``Fraction`` has no form here; ``fraction_to_json`` (``domains``) writes it
-before a document reaches ``dumps``.  It writes the text directly: at an
-indent the stdlib runs its pure-Python encoder, whose closures leave
+``Fraction`` has no form here; the certificate codec (``constructions``)
+writes it before a document reaches ``dumps``.  It writes the text directly:
+at an indent the stdlib runs its pure-Python encoder, whose closures leave
 reference cycles behind every call.  Parsing wraps the stdlib decoder to
 surface the line/column of the first syntax error.
 """

@@ -329,6 +329,26 @@ def test_beta_past_its_largest_m_is_a_precondition_error(run):
     assert err.startswith("error [PreconditionError]") and "MAX_BETA_M" in err
 
 
+@pytest.mark.parametrize("m_max", ["1000000000", "1" + "0" * 400], ids=["past_rows", "past_m"])
+def test_beta_range_is_refused_before_any_solve(run, monkeypatch, m_max):
+    def unreachable(m):
+        raise AssertionError(f"solve_beta({m}) was called")
+    monkeypatch.setattr("expobasis.cli.solve_beta", unreachable)
+    code, out, err = run(["beta", "--M", "2", "--M-max", m_max])
+    assert (code, out) == (1, "")
+    assert err.startswith("error [PreconditionError]")
+
+
+@pytest.mark.parametrize("flags", ["xyz", {"a": 1}, [1, 2], [None]],
+                         ids=["string", "object", "integers", "null"])
+def test_malformed_flags_are_a_named_error(run, flags):
+    _, cert_text, _ = run(["certify", "residue-orthogonal", "--s", "2", "--a", "0,3"])
+    doc = {**json.loads(cert_text), "flags": flags}
+    code, out, err = run(["certify", "--input", json.dumps(doc)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error [PreconditionError]") and "'flags'" in err
+
+
 @pytest.mark.parametrize("delta, code", [("-1/1700", 0), ("-1e-3", 1)])
 def test_negative_delta_after_a_space_reads_as_the_equals_form(run, delta, code):
     # -1/1700 lies in the perturbed union's window, -1e-3 outside it

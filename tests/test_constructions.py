@@ -41,7 +41,7 @@ from expobasis import (
     threshold_u,
     verify_certificate,
 )
-from expobasis import certificate_from_json, certificate_to_json
+from expobasis import certificate_from_json, certificate_to_json, jsonio
 from expobasis.constructions import MAX_BETA_M
 
 
@@ -564,12 +564,27 @@ def test_certificate_validation():
     lambda: certify_lattice_subset_paired(16, 4, [0, 1, 8, 9], 1),
     lambda: construct_interval_removal(4, 1, 0.08),
     lambda: complement_certificate(3, residue_orthogonal_basis(1, [0])),
+    # hand-built: float-born offsets, a domain scale other than 1, Fraction endpoints
+    lambda: FrameCertificate(
+        method="residue_orthogonal", A=0.5, B=2.0,
+        system=ExponentSystem((0.0, 0.51, 1 / 3), domain_scale=Fraction(3, 2)),
+        domain_intervals=[(Fraction(1, 3), Fraction(7, 6)), (Fraction(5, 2), 4)],
+        params={"delta": Fraction(-1, 7), "window": [Fraction(1, 9), 0.2]}),
+    lambda: FrameCertificate(
+        method="interval_removal", A=-0.25, B=1.5,
+        system=ExponentSystem((0.1, -0.7), domain_scale=Fraction(1, 3)),
+        domain_intervals=[(Fraction(-10, 3), Fraction(-1, 2))], flags=("vacuous_lower_bound",)),
 ])
 def test_certificate_json_round_trip(build):
     cert = build()
     doc = certificate_to_json(cert)
     assert doc["schema"] == "v1"
     assert certificate_from_json(doc) == cert
+    # a second to_json -> dumps -> loads -> from_json trip writes the same text
+    text = jsonio.dumps(doc)
+    back = certificate_from_json(jsonio.loads(text))
+    assert back == cert
+    assert jsonio.dumps(certificate_to_json(back)) == text
 
 
 def test_certificate_json_rejects_unknown_schema():

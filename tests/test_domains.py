@@ -19,7 +19,6 @@ from expobasis import (
     residues_distinct,
     validated_intervals,
 )
-from expobasis.domains import fraction_from_json, fraction_to_json
 
 
 def sorted_endpoints(draws):
@@ -105,11 +104,39 @@ def test_union_json_round_trip():
     assert certificate_from_json(doc).domain_intervals == cert.domain_intervals
 
 
+def _cert_doc(**changes):
+    """The JSON document of a small certificate with a rational param, as
+    ``certificate_to_json`` writes it; ``changes`` override the certificate's fields."""
+    fields = dict(method="residue_orthogonal", A=1.0, B=2.0,
+                  system=ExponentSystem([Fraction(0), Fraction(1, 2)]),
+                  domain_intervals=_units([0, 3]), params={"delta": Fraction(1, 40)})
+    return certificate_to_json(FrameCertificate(**{**fields, **changes}))
+
+
 def test_fraction_json_helpers():
-    assert fraction_to_json(Fraction(-7, 3)) == {"num": -7, "den": 3}
-    assert fraction_from_json({"num": -7, "den": 3}) == Fraction(-7, 3)
-    with pytest.raises(PreconditionError):
-        fraction_from_json({"num": 1})
+    # the certificate codec writes and reads each rational as {num, den}
+    doc = _cert_doc(domain_intervals=[(Fraction(-7, 3), Fraction(-4, 3))])
+    assert doc["domain"]["intervals"][0]["start"] == {"num": -7, "den": 3}
+    assert certificate_from_json(doc).domain_intervals[0][0] == Fraction(-7, 3)
+    doc["domain"]["intervals"][0]["start"] = {"num": 1}
+    with pytest.raises(PreconditionError, match="malformed rational"):
+        certificate_from_json(doc)
+
+
+#: where a strict rational sits in a document, and the certificate key an error names
+_RATIONAL_SITES = [
+    (("domain", "intervals", 0, "start"), "domain"),
+    (("domain", "intervals", 0, "end"), "domain"),
+    (("system", "domain_scale"), "system"),
+]
+
+
+def _placed(doc, path, value):
+    inner = doc
+    for step in path[:-1]:
+        inner = inner[step]
+    inner[path[-1]] = value
+    return doc
 
 
 @pytest.mark.parametrize("doc", [
@@ -118,16 +145,21 @@ def test_fraction_json_helpers():
     {"num": 1, "den": -2}, {"num": [], "den": 1}, {"num": {}, "den": 1}, [1, 2], 0.5,
 ])
 def test_fraction_from_json_reads_only_integers(doc):
-    # int() would have truncated 0.5 to 0 and read true as 1
-    with pytest.raises(PreconditionError):
-        fraction_from_json(doc)
+    # int() would have truncated 0.5 to 0 and read true as 1; a {num, den}-keyed
+    # param value is read as a rational too, by the same rule
+    sites = list(_RATIONAL_SITES)
+    if isinstance(doc, dict):
+        sites.append((("params", "delta"), "params"))
+    for path, key in sites:
+        with pytest.raises(PreconditionError, match=f"{key!r} .*malformed rational"):
+            certificate_from_json(_placed(_cert_doc(), path, doc))
 
 
 @pytest.mark.parametrize("offset", [True, "0.5", None, [], float("inf"), {"num": 0.5, "den": 1}])
 def test_system_json_rejects_ill_typed_offsets(offset):
-    doc = {"branch_offsets": [{"num": 0, "den": 1}, offset], "domain_scale": {"num": 1, "den": 1}}
-    with pytest.raises(PreconditionError):
-        ExponentSystem.from_json(doc)
+    doc = _placed(_cert_doc(), ("system", "branch_offsets", 1), offset)
+    with pytest.raises(PreconditionError, match="'system'"):
+        certificate_from_json(doc)
 
 
 # --- grid dilation -------------------------------------------------------------
@@ -249,14 +281,13 @@ def test_system_float_offsets_allowed():
 
 
 def test_system_json_round_trip():
-    sys_ = ExponentSystem((Fraction(0), 0.51), domain_scale=Fraction(2))
-    doc = sys_.to_json()
-    back = ExponentSystem.from_json(doc)
+    doc = _cert_doc(system=ExponentSystem((Fraction(0), 0.51), domain_scale=Fraction(2)))
+    back = certificate_from_json(doc).system
     assert back.domain_scale == Fraction(2)
     assert back.branch_offsets[0] == Fraction(0)
     assert back.branch_offsets[1] == 0.51
-    assert doc["branch_offsets"][1] == {"num": Fraction(0.51).numerator,
-                                        "den": Fraction(0.51).denominator}
+    assert doc["system"]["branch_offsets"][1] == {"num": Fraction(0.51).numerator,
+                                                  "den": Fraction(0.51).denominator}
     # documents that stored an offset as a plain number still read, exactly
-    doc["branch_offsets"][1] = 0.51
-    assert ExponentSystem.from_json(doc) == back
+    doc["system"]["branch_offsets"][1] = 0.51
+    assert certificate_from_json(doc).system == back

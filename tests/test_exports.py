@@ -52,3 +52,13 @@ def test_every_concrete_error_class_is_raised():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert concrete and not concrete - raised, sorted(concrete - raised)
+
+
+def test_only_constructions_spells_the_rational_form():
+    """The v1 document writes each rational as ``{"num": p, "den": q}``, and
+    ``constructions.py`` alone writes and reads it.  A second module that spells
+    those keys is a second codec of the format, to be kept in step by hand."""
+    owners = {path.name for path in PACKAGE.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Constant) and node.value in ("num", "den")}
+    assert owners == {"constructions.py"}, sorted(owners)

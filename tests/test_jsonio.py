@@ -31,7 +31,7 @@ def test_non_finite_floats_rejected():
 
 
 def test_fraction_encoding():
-    # fraction_to_json is the one Fraction encoder; dumps takes JSON types only
+    # the certificate codec is the one Fraction encoder; dumps takes JSON types only
     with pytest.raises(PreconditionError):
         dumps({"delta": Fraction(-3, 8)})
 
