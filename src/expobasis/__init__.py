@@ -1,8 +1,8 @@
 """Exponential Riesz bases on finite unions of unit intervals.
 
 Construct certified bases on perturbed interval unions, lattice subsets, and
-punctured blocks; check every certificate against an exact singular-value
-oracle or a sampled Gram quadratic form.
+punctured blocks; check every certificate against its node matrix's singular
+values, where it has a square one, and against its sampled Gram quadratic form.
 """
 
 from .clusters import (
@@ -65,7 +65,6 @@ from .verify import (
     RatioSample,
     RegressionResult,
     VerificationReport,
-    gram_entry,
     gram_matrix,
     regression_examples,
     riesz_ratio_sample,

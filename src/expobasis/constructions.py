@@ -515,13 +515,13 @@ def complement_certificate(delta_total, cert: FrameCertificate) -> FrameCertific
 
 # --- matrices for verification -------------------------------------------
 
-#: Rows of the largest square complex matrix either route builds: route 1's
-#: node matrix, D*branches square for a read certificate's common denominator
-#: D, and route 2's Gram section, branches*(2*n_max + 1) square.  Neither
-#: size is otherwise bounded: a denominator of 1e5 would ask for 160 GB.
-#: 2048 rows is 64 MiB, above the largest matrices that the tests, the
-#: benchmark workloads and perfbench/ladder.py build (96-row node matrices,
-#: 96*17 = 1632-row sections).
+#: Rows of the largest square complex matrix route 1 builds, the node matrix,
+#: D*branches square for a read certificate's common denominator D; squared,
+#: the entries of the largest array route 2's GramForm.build allocates.
+#: Neither size is otherwise bounded: a denominator of 1e5 would ask for
+#: 160 GB.  2048 rows is 64 MiB, above what the tests, the benchmark
+#: workloads and perfbench/ladder.py build (192-row node matrices; symbols
+#: of 33 * 192**2 entries, 192 branches at n_max = 8).
 MAX_MATRIX_ROWS = 2048
 
 

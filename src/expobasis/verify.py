@@ -1,19 +1,19 @@
 """Independent verification: Gram quadratic forms, ratio sampling, regressions.
 
-Everything here deliberately avoids the singular-value oracle's machinery so
-that certificates are checked by two unrelated routes: the closed-form Gram
-form of the truncated system on its domain, whose smallest and largest
-Rayleigh quotients over random coefficients are checked, and (where a node
-matrix exists) its LAPACK SVD (``np.linalg.svd``) spectrum.
-The section Gram is block Toeplitz, so route 2 never builds it: ``GramForm``
-keeps the branch-pair x lag table that defines it, transformed along the lag
-axis, and applies it as 4 n_max + 1 small branch x branch products.
-``gram_matrix`` stays the dense reference for arbitrary frequencies.  Every
-domain argument goes through ``validated_intervals``, the rule each
-certificate already obeys.  Gram phases are reduced mod 1 in exact
-arithmetic, so large endpoints or frequencies cost no accuracy.  Sampling is
-deterministic: each sample draws its trials, in order, from one
-``np.random.default_rng(seed)`` stream, so distinct seeds share no trials.
+Certificates are checked by two unrelated routes: route 1 is the LAPACK SVD
+spectrum (``spectral.singular_values``) of the node matrix, where one exists;
+route 2 is the closed-form Gram form of the truncated system on its domain,
+whose smallest and largest Rayleigh quotients over random coefficients are
+checked.  The section Gram is block Toeplitz, so route 2 never builds it:
+``GramForm`` keeps the branch-pair x lag table that defines it, transformed
+along the lag axis, and applies it as 4 n_max + 1 small branch x branch
+products.  ``gram_matrix`` is the dense Gram of arbitrary frequencies, off
+the verification path.  Every domain argument goes through
+``validated_intervals``, the rule each certificate already obeys.  Gram
+phases are reduced mod 1 in exact arithmetic, so large endpoints or
+frequencies cost no accuracy.  Sampling is deterministic: each sample draws
+its trials, in order, from one ``np.random.default_rng(seed)`` stream, so
+distinct seeds share no trials.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "DEFAULT_SEED",
     "GramForm",
     "RatioSample",
-    "gram_entry",
     "gram_matrix",
     "riesz_ratio_sample",
     "VerificationReport",
@@ -55,23 +54,6 @@ _TOL = 1e-8  # each side of a certificate is widened by this fraction of itself
 
 
 # --- Gram forms -------------------------------------------------------------
-
-def gram_entry(lam: float, mu: float, u) -> complex:
-    """<e_lam, e_mu> = integral of e^{2 pi i (lam - mu) x} over the union.
-
-    Each block integrates to length * e^{pi i nu (lo+hi)} * sinc(nu * length);
-    the centered form has no cancellation at small nu (the endpoint-difference
-    form loses ~1e-16/nu absolute accuracy there).
-    """
-    intervals = validated_intervals(u)
-    nu = float(lam) - float(mu)
-    total = 0j
-    for lo, hi in intervals:
-        lo, hi = float(lo), float(hi)
-        phase = np.exp(1j * math.pi * nu * (lo + hi))
-        total += (hi - lo) * phase * np.sinc(nu * (hi - lo))
-    return complex(total)
-
 
 def _merged_runs(u) -> list[Interval]:
     """The union's intervals, ascending, with touching ones joined exactly."""
@@ -88,7 +70,7 @@ _GRAM_ROWS = 64  # rows per block: a 64 x size block of temporaries stays in cac
 
 
 def gram_matrix(frequencies: Sequence, u) -> np.ndarray:
-    """Hermitian matrix of pairwise gram_entry values, built per run length.
+    """Dense Hermitian Gram of the frequencies on u, ``GramForm``'s reference.
 
     Touching intervals are first merged into runs (exact endpoints), so a
     contiguous union is one run.  A run of length l centred at m contributes
@@ -141,7 +123,7 @@ def _sinc(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def _nonnegative_lags(system: ExponentSystem, u, n_max: int) -> np.ndarray:
+def _nonnegative_lags(system: ExponentSystem, runs: list[Interval], n_max: int) -> np.ndarray:
     """T[., ., 2 n_max + d] for the lags d = 0..2 n_max, lag-major; the lags
     -d are their conjugate transposes.
 
@@ -157,7 +139,6 @@ def _nonnegative_lags(system: ExponentSystem, u, n_max: int) -> np.ndarray:
     scale = system.domain_scale
     offsets = [phi / scale for phi in system.branch_offsets]
     lags = [Fraction(d) / scale for d in range(2 * n_max + 1)]
-    runs = _merged_runs(u)
     centres = [(lo + hi) / 2 for lo, hi in runs]
     branch_w = unit_phases(offsets, centres)
     lag_w = unit_phases(lags, centres)
@@ -209,8 +190,11 @@ class GramForm:
 
     @classmethod
     def build(cls, system: ExponentSystem, u, n_max: int = 8) -> "GramForm":
-        """The section |n| <= n_max, refused before anything is built when it
-        has more than ``MAX_MATRIX_ROWS`` rows.
+        """The section |n| <= n_max >= 1 on u's merged runs, refused before
+        anything is built when an array it allocates would exceed
+        ``MAX_MATRIX_ROWS**2`` entries: the DFT, Q x (2 n_max + 1), the
+        symbol, Q x branches^2, or a run length's phase product,
+        (2 n_max + 1) x branches x runs.
 
         The lags d >= 0 of T (``_nonnegative_lags``) go straight into the
         symbol: with A_q = sum_{d >= 0} T[., ., 2 n_max + d] e^{-2 pi i d q / Q}
@@ -219,16 +203,17 @@ class GramForm:
         form it represents is that of the Hermitian part of T_0 and of the
         lags d > 0 with their conjugate transposes.
         """
-        rows = system.branches * (2 * n_max + 1)
-        if rows > MAX_MATRIX_ROWS:
+        if n_max < 1:
+            raise PreconditionError(f"n_max must be >= 1, got {n_max}")
+        runs = _merged_runs(u)
+        q, width, b = 4 * n_max + 1, 2 * n_max + 1, system.branches
+        largest = max(q * width, q * b * b, width * b * len(runs))
+        if largest > MAX_MATRIX_ROWS ** 2:
             raise PreconditionError(
-                f"Gram section too large: {system.branches} (branches) x {2 * n_max + 1} "
-                f"(frequencies per branch) rows > MAX_MATRIX_ROWS = {MAX_MATRIX_ROWS}")
-        if n_max < 0:
-            raise PreconditionError(f"n_max must be >= 0, got {n_max}")
-        lags = _nonnegative_lags(system, u, n_max)
+                f"Gram form too large: {b} branches, n_max = {n_max} and {len(runs)} runs "
+                f"need {largest} entries > MAX_MATRIX_ROWS**2 = {MAX_MATRIX_ROWS ** 2}")
+        lags = _nonnegative_lags(system, runs, n_max)
         lags[0] *= 0.5
-        q = 4 * n_max + 1
         f = _dft(n_max)
         symbol = (f @ lags.reshape(2 * n_max + 1, -1)).reshape(q, *lags.shape[1:])
         symbol /= q
@@ -282,32 +267,32 @@ class RatioSample:
             raise VerificationError("min_ratio exceeds max_ratio")
 
 
-_TRIAL_BLOCK = 256  # trial columns per block, at most
-_BLOCK_ENTRIES = 2**15  # and at most this many coefficients: C stays 512 KiB, its transform ~1 MiB
+_BLOCK_ENTRIES = 2**15  # coefficients per block: C stays 512 KiB, its transform ~1 MiB
+MAX_SAMPLE_ENTRIES = 10**8  # coefficients per sample: about 10 s at ~100 ns each
 
 
-def riesz_ratio_sample(
-    system, u=None, n_max: int = 8, trials: int = 128, seed: int = DEFAULT_SEED,
-) -> RatioSample:
-    """Sample Rayleigh quotients (a* G a)/(a* a) over random complex Gaussians.
+def riesz_ratio_sample(form: GramForm, trials: int = 128, seed: int = DEFAULT_SEED) -> RatioSample:
+    """Sample Rayleigh quotients (a* G a)/(a* a) of the form over random
+    complex Gaussians, refused before the first draw past
+    ``MAX_SAMPLE_ENTRIES`` coefficients in all.
 
-    ``system`` may be an ExponentSystem (with ``u`` the domain) or a prebuilt
-    GramForm, whose own ``n_max`` the sample reports.  All trials come from
-    one ``np.random.default_rng(seed)``: trial t is the t-th run of
-    2 * size standard normals, read as size complex numbers.  The trials are
-    stacked as the columns of a matrix C, up to 256 at a time and at most
-    2**15 coefficients per block (drawn in order, so the block width does not
+    All trials come from one ``np.random.default_rng(seed)``: trial t is the
+    t-th run of 2 * size standard normals, read as size complex numbers.  The
+    trials are stacked as the columns of a matrix C, at most 2**15
+    coefficients per block (drawn in order, so the block width does not
     change them), and their quadratic forms come from the form's symbol
     (``GramForm.quadratic_forms``), never from a dense G.  The extremes are
-    the smallest and the largest ratio drawn.
+    the smallest and the largest ratio drawn, at the form's ``n_max``.
     """
-    if n_max < 1 or trials < 1 or seed < 0:
-        raise PreconditionError("need n_max >= 1, trials >= 1 and seed >= 0")
-    form = system if isinstance(system, GramForm) else GramForm.build(system, u, n_max)
+    if trials < 1 or seed < 0:
+        raise PreconditionError("need trials >= 1 and seed >= 0")
+    if trials * form.size > MAX_SAMPLE_ENTRIES:
+        raise PreconditionError(f"{trials} trials x {form.size} coefficients > "
+                                f"MAX_SAMPLE_ENTRIES = {MAX_SAMPLE_ENTRIES}")
     rng = np.random.default_rng(seed)
     lo = math.inf
     hi = -math.inf
-    block = min(_TRIAL_BLOCK, max(1, _BLOCK_ENTRIES // form.size))
+    block = max(1, _BLOCK_ENTRIES // form.size)
     for first in range(0, trials, block):
         width = min(block, trials - first)
         coeffs = rng.standard_normal((width, 2 * form.size)).view(complex).T
@@ -323,7 +308,6 @@ def riesz_ratio_sample(
 class VerificationReport:
     """Both routes' findings; ``matrix`` is the node matrix route 1 checked."""
 
-    certificate: FrameCertificate
     matrix: NodeMatrix | None
     oracle: SingularSpectrum | None
     oracle_scale: float
@@ -383,16 +367,16 @@ def verify_certificate(
                 "side": "lower", "value": oracle.sigma_min ** 2,
                 "bound": cert.A * scale,
             })
-    sample = riesz_ratio_sample(cert.system, cert.domain_intervals,
-                                n_max=n_max, trials=trials, seed=seed)
+    form = GramForm.build(cert.system, cert.domain_intervals, n_max)
+    sample = riesz_ratio_sample(form, trials=trials, seed=seed)
     if sample.min_ratio < lower:
         violations.append({"route": "sample", "index": -1, "side": "lower",
                            "value": sample.min_ratio, "bound": cert.A})
     if sample.max_ratio > upper:
         violations.append({"route": "sample", "index": -1, "side": "upper",
                            "value": sample.max_ratio, "bound": cert.B})
-    return VerificationReport(certificate=cert, matrix=matrix, oracle=oracle,
-                              oracle_scale=scale, sample=sample, violations=tuple(violations))
+    return VerificationReport(matrix=matrix, oracle=oracle, oracle_scale=scale,
+                              sample=sample, violations=tuple(violations))
 
 
 # --- frozen counterexample regressions --------------------------------------

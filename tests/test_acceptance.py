@@ -15,6 +15,8 @@ import pytest
 
 from conftest import oscillatory_integral, record_acceptance
 from expobasis import (
+    ExponentSystem,
+    GramForm,
     RankDeficientError,
     associated_matrix,
     certify_lattice_subset,
@@ -22,8 +24,6 @@ from expobasis import (
     construct_interval_removal,
     construct_perturbed_union,
     delta_window_perturbed_union,
-    gram_entry,
-    gram_matrix,
     optimal_frame_constants,
     partition_by_coherence,
     principal_angle_check,
@@ -92,8 +92,8 @@ def test_criterion_3_tight_frames_on_residue_complete_unions():
             cert = residue_orthogonal_basis(s, a)
             lo, hi = optimal_frame_constants(associated_matrix(cert)[0])
             worst_const = max(worst_const, abs(lo - s), abs(hi - s))
-            sample = riesz_ratio_sample(cert.system, cert.domain_intervals,
-                                        n_max=6, trials=100, seed=42)
+            sample = riesz_ratio_sample(GramForm.build(cert.system, cert.domain_intervals, 6),
+                                        trials=100, seed=42)
             worst_ratio = max(worst_ratio, abs(sample.min_ratio - s),
                               abs(sample.max_ratio - s))
     elapsed = time.perf_counter() - start
@@ -310,6 +310,12 @@ def _random_union(rng):
     return tuple((e, e + 1) for e in endpoints)
 
 
+def _section(system, union, n_max):
+    """The dense section Gram, read from ``GramForm.apply`` on the identity."""
+    form = GramForm.build(system, union, n_max)
+    return form.apply(np.eye(form.size))
+
+
 def test_criterion_9_gram_form_consistency():
     start = time.perf_counter()
     rng = np.random.default_rng(900)
@@ -319,19 +325,21 @@ def test_criterion_9_gram_form_consistency():
         lam, mu = rng.uniform(-6, 6, size=2)
         direct = sum(oscillatory_integral(lam - mu, float(a), float(b))
                      for a, b in union)
-        worst = max(worst, abs(gram_entry(lam, mu, union) - direct))
+        # <e_lam, e_mu>: row (branch 0, n = 0), column (branch 1, n = 0) at n_max = 1
+        entry = _section(ExponentSystem([lam, mu]), union, 1)[1, 4]
+        worst = max(worst, abs(entry - direct))
 
     min_eig = math.inf
     for s in range(1, 11):
         cert = residue_orthogonal_basis(s, [j * (s + 1) for j in range(s)])
-        gram = gram_matrix(cert.system.frequencies(6), cert.domain_intervals)
+        gram = _section(cert.system, cert.domain_intervals, 6)
         min_eig = min(min_eig, float(np.linalg.eigvalsh(gram)[0]))
     for n in range(4, 11):
         big_m = n - 1
         lo = 1.0 / (2 * big_m * big_m)
         hi = 1.0 / big_m - solve_beta(big_m).beta
         cert = construct_interval_removal(n, 1, (lo + hi) / 2)
-        gram = gram_matrix(cert.system.frequencies(8), cert.domain_intervals)
+        gram = _section(cert.system, cert.domain_intervals, 8)
         min_eig = min(min_eig, float(np.linalg.eigvalsh(gram)[0]))
     elapsed = time.perf_counter() - start
 

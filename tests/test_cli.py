@@ -453,6 +453,33 @@ def test_oversized_gram_section_is_a_named_error(run, sub):
     assert "MAX_MATRIX_ROWS" in err
 
 
+def test_wide_complement_is_verified_by_both_routes(run, tmp_path):
+    # 192 branches: route 1 is one 192 x 192 SVD and route 2's symbol is
+    # 33 x 192**2 entries, though the unbuilt section has 3,264 rows
+    parent = tmp_path / "parent.json"
+    run(["certify", "interval-removal", "--N", "9", "--m", "4", "--delta", "1/100",
+         "--output", str(parent)])
+    _, comp, _ = run(["certify", "complement", "--Delta", "200", "--input", str(parent)])
+    code, out, err = run(["verify", "--input", comp])
+    assert (code, err) == (2, "")  # the reflected constants are unsound
+    doc = loads(out)
+    assert doc["sample"]["n_max"] == 8
+    assert any(v["route"] == "oracle" for v in doc["violations"])
+
+
+def test_trials_past_the_sample_budget_are_refused_before_any_draw(run, monkeypatch):
+    import expobasis.verify as verify
+
+    def no_draws(seed):
+        raise AssertionError("the generator was reached")
+
+    monkeypatch.setattr(verify.np.random, "default_rng", no_draws)
+    code, out, err = run(["verify", "residue-orthogonal", "--s", "1", "--a", "0",
+                          "--trials", "1000000000000"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error [PreconditionError]") and "MAX_SAMPLE_ENTRIES" in err
+
+
 def test_regress_subcommand(run):
     code, out, _ = run(["regress"])
     assert code == 0

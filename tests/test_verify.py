@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oscillatory_integral
+from conftest import gram_entry, oscillatory_integral
 from expobasis import (
     DEFAULT_SEED,
     ExponentSystem,
@@ -20,7 +20,6 @@ from expobasis import (
     construct_interval_removal,
     construct_perturbed_union,
     delta_window_interval_removal,
-    gram_entry,
     gram_matrix,
     regression_examples,
     residue_orthogonal_basis,
@@ -245,7 +244,7 @@ def test_gram_form_size_and_basis_ratios():
 
 def test_tight_system_samples_at_its_frame_constant():
     system = ExponentSystem((Fraction(0), Fraction(1, 2)), domain_scale=Fraction(1))
-    sample = riesz_ratio_sample(system, SPLIT, n_max=6, trials=50, seed=13)
+    sample = riesz_ratio_sample(GramForm.build(system, SPLIT, 6), trials=50, seed=13)
     assert sample.min_ratio == pytest.approx(2.0, abs=1e-10)
     assert sample.max_ratio == pytest.approx(2.0, abs=1e-10)
     assert sample.min_ratio <= sample.max_ratio
@@ -254,9 +253,9 @@ def test_tight_system_samples_at_its_frame_constant():
 def test_ratio_sample_is_seed_deterministic():
     # non-orthogonal offsets so the sampled ratios genuinely vary with the draw
     system = ExponentSystem((Fraction(0), Fraction(1, 3)), domain_scale=Fraction(1))
-    a = riesz_ratio_sample(system, SPLIT, n_max=4, trials=20, seed=99)
-    b = riesz_ratio_sample(system, SPLIT, n_max=4, trials=20, seed=99)
-    c = riesz_ratio_sample(system, SPLIT, n_max=4, trials=20, seed=100)
+    a = riesz_ratio_sample(GramForm.build(system, SPLIT, 4), trials=20, seed=99)
+    b = riesz_ratio_sample(GramForm.build(system, SPLIT, 4), trials=20, seed=99)
+    c = riesz_ratio_sample(GramForm.build(system, SPLIT, 4), trials=20, seed=100)
     assert a == b
     assert (a.min_ratio, a.max_ratio) != (c.min_ratio, c.max_ratio)
 
@@ -273,15 +272,17 @@ def test_sample_does_not_depend_on_the_trial_block(monkeypatch):
     cert = construct_interval_removal(6, 2, 0.025)
     form = GramForm.build(cert.system, cert.domain_intervals, n_max=4)
     wide = riesz_ratio_sample(form, trials=50, seed=11)
-    monkeypatch.setattr(verify, "_TRIAL_BLOCK", 7)
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 7 * form.size)
     assert riesz_ratio_sample(form, trials=50, seed=11) == wide
 
 
 def test_ratio_sample_validates_inputs():
     from expobasis import VerificationError
     system = ExponentSystem((Fraction(0),), domain_scale=Fraction(1))
-    with pytest.raises(PreconditionError):
-        riesz_ratio_sample(system, SPLIT, trials=0)
+    form = GramForm.build(system, SPLIT, 8)
+    for bad in ({"trials": 0}, {"seed": -1}):
+        with pytest.raises(PreconditionError):
+            riesz_ratio_sample(form, **bad)
     with pytest.raises(VerificationError):
         RatioSample(min_ratio=2.0, max_ratio=1.0, trials=4, seed=0, n_max=2)
 
@@ -292,11 +293,54 @@ def test_oversized_section_is_refused_before_it_is_built():
     tracemalloc.start()
     try:
         with pytest.raises(PreconditionError, match="MAX_MATRIX_ROWS"):
-            riesz_ratio_sample(system, SPLIT, n_max=10**9)
+            GramForm.build(system, SPLIT, 10**9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_sampler_takes_only_a_form():
+    import inspect
+    assert list(inspect.signature(riesz_ratio_sample).parameters) == ["form", "trials", "seed"]
+    form = GramForm.build(ExponentSystem((Fraction(0),)), SPLIT, 2)
+    with pytest.raises(TypeError):
+        riesz_ratio_sample(form, n_max=3)
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_gram_form_needs_a_positive_n_max(n_max):
+    with pytest.raises(PreconditionError, match="n_max must be >= 1"):
+        GramForm.build(ExponentSystem((Fraction(0),)), SPLIT, n_max)
+
+
+def test_many_run_form_is_refused_before_it_is_built():
+    # 100 branches on 4,000 unit intervals 2 apart: each run adds 17 x 100 phase
+    # products at n_max = 8, 129 MiB in all, though the section has only 1,700 rows
+    cert = FrameCertificate(
+        method="residue_orthogonal", A=1.0, B=1.0,
+        system=ExponentSystem(tuple(Fraction(k, 100) for k in range(100))),
+        domain_intervals=tuple((Fraction(2 * k), Fraction(2 * k + 1)) for k in range(4000)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="MAX_MATRIX_ROWS"):
+            verify_certificate(cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_sample_past_its_budget_is_refused_before_the_first_draw(monkeypatch):
+    import expobasis.verify as verify
+
+    def no_draws(seed):
+        raise AssertionError("the generator was reached")
+
+    form = GramForm.build(ExponentSystem((Fraction(0),)), SPLIT, 1)
+    monkeypatch.setattr(verify.np.random, "default_rng", no_draws)
+    with pytest.raises(PreconditionError, match="MAX_SAMPLE_ENTRIES"):
+        riesz_ratio_sample(form, trials=verify.MAX_SAMPLE_ENTRIES // form.size + 1)
 
 
 def test_aliased_offsets_collapse_under_refinement():
@@ -316,7 +360,7 @@ def test_aliased_offsets_collapse_under_refinement():
 
 def test_sound_certificate_sampled_within_bounds():
     cert = construct_interval_removal(4, 1, 0.08)
-    sample = riesz_ratio_sample(cert.system, cert.domain_intervals, n_max=8,
+    sample = riesz_ratio_sample(GramForm.build(cert.system, cert.domain_intervals, 8),
                                 trials=64, seed=7)
     assert cert.A - 1e-6 <= sample.min_ratio
     assert sample.max_ratio <= cert.B + 1e-6
