@@ -20,6 +20,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import constructions, jsonio
 from .constructions import (
@@ -33,9 +34,10 @@ from .constructions import (
     solve_beta,
 )
 from .errors import JsonInputError, PreconditionError
-from .spectral import singular_values
-from .vandermonde import NodeMatrix
-from .verify import DEFAULT_SEED, VerificationReport, regression_examples, verify_certificate
+
+if TYPE_CHECKING:  # numpy modules: the handlers that call verify and spectral import them
+    from .vandermonde import NodeMatrix
+    from .verify import VerificationReport
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -58,6 +60,7 @@ def _parse_rational_list(text: str) -> list:
 
 
 def _resolve_seed(args) -> int:
+    from .verify import DEFAULT_SEED
     if args.seed is not None:
         return args.seed
     env = os.environ.get("EXPOBASIS_SEED")
@@ -118,6 +121,7 @@ def _matrix_summary(matrix: NodeMatrix | None, scale: float | None) -> dict | No
 
 
 def _oracle_doc(cert: FrameCertificate) -> dict | None:
+    from .spectral import singular_values
     pair = associated_matrix(cert)
     if pair is None:
         return None
@@ -133,6 +137,7 @@ def _oracle_doc(cert: FrameCertificate) -> dict | None:
 
 
 def _verify_doc(cert: FrameCertificate, args) -> tuple[dict, VerificationReport]:
+    from .verify import verify_certificate
     report = verify_certificate(cert, n_max=args.n_max, trials=args.trials,
                                 seed=_resolve_seed(args))
     doc = {
@@ -269,6 +274,7 @@ MAX_BETA_ROWS = 10**4
 
 def _run(args) -> int:
     if args.subcommand == "regress":
+        from .verify import regression_examples
         results = regression_examples()
         ok = all(r.passed for r in results)
         _emit({"schema": "v1",
@@ -317,6 +323,7 @@ def _run(args) -> int:
         return 0 if report.ok else 2
 
     if args.subcommand == "report":
+        from .verify import regression_examples
         doc, report = _verify_doc(cert, args)
         doc["matrix"] = _matrix_summary(report.matrix, report.oracle_scale)
         regs = regression_examples()

@@ -17,9 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .domains import as_fraction
+from .domains import as_fraction, sin_ratio
 from .errors import ClusterSizeError, PreconditionError, RankDeficientError
-from .vandermonde import progression_matrix, sin_ratio
+from .vandermonde import progression_matrix
 
 __all__ = [
     "ClusterPartition",

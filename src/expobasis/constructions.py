@@ -14,6 +14,8 @@ coherence of a node matrix: an envelope factor ``1 -/+ M sin(1/M)``, or
 two lattice variants share one validator and one certificate body; the paired
 one clusters large-coherence pairs with ``partition_by_coherence`` and widens
 its spread by the largest within-cluster sine ratio, read from the partition.
+``associated_matrix`` and the paired lattice subset import their numpy
+modules when called, so a certificate is built, written and read without numpy.
 
 The v1 certificate document lives here too: one encoder writes each rational
 as a ``{num, den}`` object and one strict reader reads it back.
@@ -25,15 +27,16 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .clusters import partition_by_coherence
 from .domains import (
     ExponentSystem,
     Interval,
+    _wrap_value,
     as_fraction,
     finite_float,
     residues_distinct,
+    sin_ratio,
     validated_intervals,
 )
 from .errors import (
@@ -48,7 +51,9 @@ from .errors import (
     ThresholdError,
     VerificationError,
 )
-from .vandermonde import NodeMatrix, _wrap_value, build_gamma, sin_ratio
+
+if TYPE_CHECKING:
+    from .vandermonde import NodeMatrix
 
 __all__ = [
     "BetaSolution",
@@ -374,6 +379,7 @@ def certify_lattice_subset_paired(n: int, m: int, a: Sequence[int], u: int) -> F
     all clusters are singletons), and the constants widen to
     (M - alpha)(1 - c), (M + alpha)(1 + c).
     """
+    from .clusters import partition_by_coherence
     a = _validated_lattice_subset(n, m, a, u)
     partition = partition_by_coherence(a, Fraction(1, n), m)
     if partition.max_cluster_size > 2:
@@ -488,7 +494,7 @@ def complement_certificate(delta_total, cert: FrameCertificate) -> FrameCertific
     if q - len(residues) > MAX_MATRIX_ROWS:
         raise PreconditionError(
             f"complement too large: Delta/domain_scale = {_approx(q)} leaves more than "
-            f"MAX_MATRIX_ROWS = {MAX_MATRIX_ROWS} branches, more than either route can check")
+            f"MAX_MATRIX_ROWS = {MAX_MATRIX_ROWS} branches, the node-matrix oracle's row bound")
     remaining = [r for r in range(q) if r not in residues]
     if not remaining:
         raise ComplementRangeError("complement is empty: the system fills the whole lattice")
@@ -517,7 +523,9 @@ def complement_certificate(delta_total, cert: FrameCertificate) -> FrameCertific
 
 #: Rows of the largest square complex matrix route 1 builds, the node matrix,
 #: D*branches square for a read certificate's common denominator D; squared,
-#: the entries of the largest array route 2's GramForm.build allocates.
+#: the entries of the largest array route 2's GramForm.build allocates, whose
+#: peak is about 1.6 times that array (100 to 106 MiB under tracemalloc for
+#: the 63.8 MiB symbol of 356 branches on two runs at n_max = 8).
 #: Neither size is otherwise bounded: a denominator of 1e5 would ask for
 #: 160 GB.  2048 rows is 64 MiB, above what the tests, the benchmark
 #: workloads and perfbench/ladder.py build (192-row node matrices; symbols
@@ -537,6 +545,7 @@ def associated_matrix(cert: FrameCertificate) -> tuple[NodeMatrix, float] | None
     integer numerators over D, so the measure is an integer sum and each
     piece's nodes are one integer range.
     """
+    from .vandermonde import build_gamma
     c = cert.system.domain_scale
     ends = [x for piece in cert.domain_intervals for x in piece]
     q = math.lcm(*[x.denominator for x in ends])

@@ -6,14 +6,16 @@ with ``fractions.Fraction`` endpoints; touching intervals are allowed.
 and ``FrameCertificate`` applies it to every certificate, however it was
 made.  Branch offsets and domain scales are exact too (a float converts
 exactly on entry), so frequencies are exact and phases reduce mod 1 without
-rounding.  Nothing here knows JSON; ``constructions`` owns the document.
+rounding.  The sine ratio of the certified bounds, ``sin_ratio``, lives here
+too, in pure ``math``: the constructions need no numpy.  Nothing here knows
+JSON; ``constructions`` owns the document.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import OverlapError, PreconditionError
@@ -26,6 +28,7 @@ __all__ = [
     "as_fraction",
     "finite_float",
     "residues_distinct",
+    "sin_ratio",
     "validated_intervals",
 ]
 
@@ -62,7 +65,7 @@ def validated_intervals(pairs: Iterable) -> tuple[Interval, ...]:
     ends = [(as_fraction(lo), as_fraction(hi)) for lo, hi in pairs]
     if not ends:
         raise PreconditionError("a domain needs at least one interval")
-    den = lcm(*[x.denominator for pair in ends for x in pair])
+    den = math.lcm(*[x.denominator for pair in ends for x in pair])
     keys = [(lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator))
             for lo, hi in ends]
     out = sorted(zip(keys, ends))
@@ -85,6 +88,27 @@ def residues_distinct(endpoints: Sequence[int], modulus: int) -> bool:
         raise PreconditionError(f"modulus must be >= 1, got {modulus}")
     res = [e % modulus for e in endpoints]
     return len(set(res)) == len(res)
+
+
+def _wrap_value(x) -> Fraction:
+    """Exact distance from x to the nearest integer, in [0, 1/2]."""
+    p, q = as_fraction(x).as_integer_ratio()
+    return Fraction(min(p % q, q - p % q), q)
+
+
+def sin_ratio(m: int, x) -> float:
+    """|sin(pi m x) / sin(pi x)| with its removable limit m at integer x.
+
+    Even and 1-periodic in x; ranges over [0, m].
+    """
+    if m < 1:
+        raise PreconditionError(f"m must be >= 1, got {m}")
+    r = float(_wrap_value(x))
+    if r == 0.0:
+        return float(m)
+    # the true ratio never exceeds m; min() trims float overshoot (the raw
+    # quotient of two subnormal sines can exceed m by a large margin)
+    return min(abs(math.sin(math.pi * m * r) / math.sin(math.pi * r)), float(m))
 
 
 def _wrapped_offsets_distinct(offsets: Sequence[Fraction]) -> bool:

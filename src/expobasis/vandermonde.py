@@ -1,4 +1,4 @@
-"""Node matrices, the wrap-around distance and the sine ratio.
+"""Node matrices from exact rational phases.
 
 A system with branch offsets ``{delta_j}`` on a union with integer nodes
 ``{p_k}`` is a Riesz basis exactly when the square matrix
@@ -7,7 +7,7 @@ frame constants are the extreme squared singular values of Gamma.  Offsets
 are exact rationals (a float converts exactly on entry), and ``unit_phases``
 reduces the phases ``delta_j * p_k`` mod 1 in integer arithmetic, so entries
 are accurate to one rounding of the phase.  With offsets j * spacing, j < L,
-two columns have coherence ``sin_ratio(L, (p_a - p_b) * spacing)``.
+two columns have coherence ``domains.sin_ratio(L, (p_a - p_b) * spacing)``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "unit_phases",
     "build_gamma",
     "progression_matrix",
-    "sin_ratio",
 ]
 
 
@@ -92,24 +91,3 @@ def progression_matrix(nodes: Sequence[int], spacing) -> NodeMatrix:
     """Gamma for the uniform offsets delta_j = j * spacing, j = 0..L-1, L = len(nodes)."""
     spacing = as_fraction(spacing)
     return build_gamma([j * spacing for j in range(len(nodes))], nodes)
-
-
-def _wrap_value(x) -> Fraction:
-    """Exact distance from x to the nearest integer, in [0, 1/2]."""
-    p, q = as_fraction(x).as_integer_ratio()
-    return Fraction(min(p % q, q - p % q), q)
-
-
-def sin_ratio(m: int, x) -> float:
-    """|sin(pi m x) / sin(pi x)| with its removable limit m at integer x.
-
-    Even and 1-periodic in x; ranges over [0, m].
-    """
-    if m < 1:
-        raise PreconditionError(f"m must be >= 1, got {m}")
-    r = float(_wrap_value(x))
-    if r == 0.0:
-        return float(m)
-    # the true ratio never exceeds m; min() trims float overshoot (the raw
-    # quotient of two subnormal sines can exceed m by a large margin)
-    return min(abs(math.sin(math.pi * m * r) / math.sin(math.pi * r)), float(m))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from expobasis import CONSTRUCTIONS, METHODS, constructions
+from expobasis import CONSTRUCTIONS, METHODS, constructions, vandermonde
 from expobasis.cli import main
 from expobasis.jsonio import loads
 
@@ -395,6 +395,45 @@ def test_importing_the_cli_loads_neither_fft_nor_random():
     assert out.strip() == "[]"
 
 
+#: commands that do no linear algebra, with their exit codes; PARENT stands
+#: for the residue-orthogonal certificate that the complement reads inline
+_NUMPY_FREE = {
+    "interval-removal": (["certify", "interval-removal", "--N", "17", "--m", "8",
+                          "--delta", "0.003"], 0),
+    "perturbed-union": (["certify", "perturbed-union", "--s", "2", "--a", "0,3",
+                         "--epsilons", "0,1/3", "--delta", "0.0006"], 0),
+    "lattice-subset": (["certify", "lattice-subset", "--N", "14", "--M", "3", "--a", "0,5,9",
+                        "--u", "1"], 0),
+    "residue-orthogonal": (["certify", "residue-orthogonal", "--s", "2", "--a", "0,3"], 0),
+    "complement": (["certify", "complement", "--Delta", "3", "--input", "PARENT"], 0),
+    "outside-window": (["certify", "interval-removal", "--N", "17", "--m", "8",
+                        "--delta", "0.3"], 1),
+    "beta": (["beta", "--M", "2", "--M-max", "17"], 0),
+    "malformed-input": (["verify", "--input", '{"schema": "v1", "method": '], 3),
+}
+
+
+@pytest.mark.parametrize("case", _NUMPY_FREE)
+def test_commands_without_linear_algebra_start_without_numpy(run, case):
+    import subprocess
+    import sys
+    from pathlib import Path
+    argv, code = _NUMPY_FREE[case]
+    parent = run(["certify", "residue-orthogonal", "--s", "1", "--a", "0"])[1]
+    argv = [parent if arg == "PARENT" else arg for arg in argv]
+    want_code, want_out, _ = run(argv)
+    assert want_code == code
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys, expobasis; loaded = ['numpy' in sys.modules]; "
+             "from expobasis.cli import main; code = main(sys.argv[1:]); "
+             "loaded.append('numpy' in sys.modules); print(loaded, file=sys.stderr); "
+             "sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], env={"PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (code, want_out)
+    assert proc.stderr.splitlines()[-1] == "[False, False]", proc.stderr
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_every_construction_is_dispatched_from_the_table(run, method):
     builder, inputs = CONSTRUCTIONS[method]
@@ -535,20 +574,22 @@ def test_report_bundles_all_routes(run):
 
 
 def test_report_builds_the_node_matrix_once(run, monkeypatch):
-    # route 1 and the matrix field read one Gamma
+    # route 1 and the matrix field read one Gamma; the regressions'
+    # progression matrices (other nodes) call vandermonde.build_gamma too
     calls = []
-    build_gamma = constructions.build_gamma
+    build_gamma = vandermonde.build_gamma
 
     def counted(*args, **kwargs):
         calls.append(args)
         return build_gamma(*args, **kwargs)
 
-    monkeypatch.setattr(constructions, "build_gamma", counted)
+    monkeypatch.setattr(vandermonde, "build_gamma", counted)
     code, out, _ = run(["report", "interval-removal", "--N", "17", "--m", "8",
                         "--delta", "0.003", "--trials", "16"])
     assert code == 0
-    assert len(calls) == 1
-    assert loads(out)["matrix"]["size"] == 16
+    matrix = loads(out)["matrix"]
+    assert len([nodes for _, nodes in calls if list(nodes) == matrix["nodes"]]) == 1
+    assert matrix["size"] == 16
 
 
 def test_text_format_renders_key_lines(run):

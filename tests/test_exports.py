@@ -29,11 +29,34 @@ def test_every_name_in_all_resolves(name):
 
 
 def test_every_reexport_is_in_its_home_modules_all():
+    """Eager re-exports are the top-level ``from .x import`` names of
+    ``__init__.py``; lazy ones are its ``_LAZY`` table.  Each is in its home
+    module's ``__all__``, no name is both, and together they are ``__all__``."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
-    missing = [f"{node.module}.{alias.name}" for node in imports
-               for alias in node.names if alias.name not in _exported(node.module)]
-    assert imports and not missing, missing
+    eager = [(alias.name, node.module) for node in imports for alias in node.names]
+    lazy = list(expobasis._LAZY.items())
+    missing = [f"{module}.{name}" for name, module in eager + lazy
+               if name not in _exported(module)]
+    assert imports and lazy and not missing, missing
+    assert not {name for name, _ in eager} & set(expobasis._LAZY)
+    assert sorted(name for name, _ in eager + lazy) == sorted(expobasis.__all__)
+
+
+def test_the_star_import_binds_every_reexport():
+    namespace: dict = {}
+    exec("from expobasis import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(expobasis.__all__)
+    assert all(namespace[name] is getattr(expobasis, name) for name in expobasis.__all__)
+    assert set(expobasis.__all__) <= set(dir(expobasis))
+    assert not hasattr(expobasis, "no_such_name")
+
+
+def test_a_lazy_reexport_is_imported_once_and_kept(monkeypatch):
+    from expobasis import verify
+    monkeypatch.delitem(vars(expobasis), "verify_certificate", raising=False)
+    assert expobasis.verify_certificate is verify.verify_certificate
+    assert vars(expobasis)["verify_certificate"] is verify.verify_certificate
 
 
 def test_every_concrete_error_class_is_raised():

@@ -19,7 +19,7 @@ from expobasis import (
     progression_matrix,
     sin_ratio,
 )
-from expobasis.vandermonde import _wrap_value
+from expobasis.domains import _wrap_value
 
 
 # --- node extraction ----------------------------------------------------------
