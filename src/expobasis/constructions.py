@@ -151,7 +151,8 @@ class FrameCertificate:
     ``params`` keeps the construction inputs (rationals as ``Fraction``) for
     the record; verification reads only ``system`` and
     ``domain_intervals``.  The domain is stored as ``validated_intervals``
-    returns it, so every certificate, built or read, obeys one domain rule.
+    returns it, as its runs, so every certificate, built or read, obeys one
+    domain rule and holds one tuple per set.
     ``flags`` records conventions and vacuity warnings.
     """
 
@@ -173,10 +174,6 @@ class FrameCertificate:
     @property
     def vacuous(self) -> bool:
         return self.A <= 0.0
-
-
-def _unit_intervals(endpoints: Sequence[int]) -> tuple[Interval, ...]:
-    return tuple([(Fraction(e), Fraction(e + 1)) for e in endpoints])
 
 
 def _vacuity_flags(a: float) -> tuple[str, ...]:
@@ -355,7 +352,7 @@ def _lattice_certificate(method: str, n: int, m: int, a: list[int], u: int,
         A=A,
         B=B,
         system=ExponentSystem([Fraction(j, n) for j in range(m)], domain_scale=1),
-        domain_intervals=_unit_intervals(a),
+        domain_intervals=[(e, e + 1) for e in a],
         params=params,
         flags=_vacuity_flags(A),
     )
@@ -404,7 +401,7 @@ def delta_window_interval_removal(n: int):
 
 
 def construct_interval_removal(n: int, m: int, delta) -> FrameCertificate:
-    """Certified basis on [0, N) with the interval (m, m+1) removed.
+    """Certified basis on the two runs [0, m) and [m+1, N): [0, N) less (m, m+1).
 
     Offsets are j/(N-1) - j*delta for a delta in the strict window
     (1/(2(N-1)^2), 1/(N-1) - beta); the constants do not depend on m.
@@ -421,14 +418,13 @@ def construct_interval_removal(n: int, m: int, delta) -> FrameCertificate:
     spread = 1.0 / math.sin(math.pi / (2 * big_m))
     A = (1.0 - envelope) * (big_m - spread)
     B = (1.0 + envelope) * (big_m + spread)
-    endpoints = [k for k in range(n) if k != m]
     step = Fraction(1, big_m) - delta
     return FrameCertificate(
         method="interval_removal",
         A=A,
         B=B,
         system=ExponentSystem([j * step for j in range(big_m)], domain_scale=1),
-        domain_intervals=_unit_intervals(endpoints),
+        domain_intervals=((0, m), (m + 1, n)),
         params={"N": n, "m": m, "delta": delta, "beta": beta.beta, "window": [lo, hi]},
         flags=_vacuity_flags(A),
     )
@@ -450,7 +446,7 @@ def residue_orthogonal_basis(s: int, a: Sequence[int]) -> FrameCertificate:
         A=float(s),
         B=float(s),
         system=ExponentSystem([Fraction(j, s) for j in range(s)], domain_scale=1),
-        domain_intervals=_unit_intervals(a),
+        domain_intervals=[(e, e + 1) for e in a],
         params={"s": s, "a": list(a)},
     )
 
@@ -536,14 +532,14 @@ MAX_MATRIX_ROWS = 2048
 def associated_matrix(cert: FrameCertificate) -> tuple[NodeMatrix, float] | None:
     """The node matrix of the certificate's own system on its own domain.
 
-    With c the domain scale and D the common denominator of the endpoints
+    With c the domain scale and D the common denominator of the run endpoints
     over c, the nodes are the integers in D/c times the domain and the
     branches are (r + phi_j)/D for 0 <= r < D.  Returns (matrix, D/c), whose
     soundness contract is ``scale*A <= sigma^2 <= scale*B``, or None when the
     matrix would not be square.  A matrix of more than ``MAX_MATRIX_ROWS`` rows
     is refused before any node is built.  The endpoints over c are read as
     integer numerators over D, so the measure is an integer sum and each
-    piece's nodes are one integer range.
+    run's nodes are one integer range.
     """
     from .vandermonde import build_gamma
     c = cert.system.domain_scale

@@ -1,7 +1,7 @@
 """Domains and exponent systems, in exact rationals.
 
-A domain is a sorted tuple of disjoint, non-empty intervals ``(start, end)``
-with ``fractions.Fraction`` endpoints; touching intervals are allowed.
+A domain is a sorted tuple of non-empty runs ``(start, end)`` with
+``fractions.Fraction`` endpoints, no two of which overlap or touch.
 ``validated_intervals`` is the one rule that builds and checks that tuple,
 and ``FrameCertificate`` applies it to every certificate, however it was
 made.  Branch offsets and domain scales are exact too (a float converts
@@ -53,14 +53,16 @@ def finite_float(x: Fraction, what: str) -> float:
 
 
 def validated_intervals(pairs: Iterable) -> tuple[Interval, ...]:
-    """The one domain rule: ``(start, end)`` pairs as a sorted tuple of exact intervals.
+    """The one domain rule: ``(start, end)`` pairs as a sorted tuple of exact runs.
 
-    Refused with a named error: no interval at all, an empty or reversed
-    interval, an overlap (``OverlapError``), and a length that does not
-    convert to a finite float, since the Gram form integrates over float
-    lengths.  Endpoints themselves may be arbitrarily large.  Order, lengths
-    and overlaps are read from the endpoints' integer numerators over their
-    common denominator, which compare exactly as the rationals do.
+    Refused with a named error, in this order: no interval at all, an empty
+    or reversed interval, an overlap (``OverlapError``).  Touching intervals
+    are then joined into runs, so a set has one form however it is listed,
+    and a run whose length does not convert to a finite float is refused,
+    since the Gram form integrates over float run lengths.  Endpoints may be
+    arbitrarily large.  Order, touching, overlaps and lengths are read from
+    the endpoints' integer numerators over their common denominator, which
+    compare exactly as the rationals do.
     """
     ends = [(as_fraction(lo), as_fraction(hi)) for lo, hi in pairs]
     if not ends:
@@ -72,14 +74,21 @@ def validated_intervals(pairs: Iterable) -> tuple[Interval, ...]:
     for (start, end), (lo, hi) in out:
         if end <= start:
             raise PreconditionError(f"empty interval [{lo}, {hi})")
+    for ((_, end), (lo, hi)), ((start, _), (nxt, _)) in zip(out, out[1:]):
+        if start < end:
+            raise OverlapError(f"interval [{lo}, {hi}) overlaps the one starting at {nxt}")
+    runs: list[list] = []  # [start key, start, end key, end] of each run
+    for (start, end), (lo, hi) in out:
+        if runs and start == runs[-1][2]:
+            runs[-1][2:] = [end, hi]
+        else:
+            runs.append([start, lo, end, hi])
+    for start, _, end, _ in runs:
         try:
             (end - start) / den  # correctly rounded, so it overflows just when float(hi - lo) does
         except OverflowError:
             raise PreconditionError("an interval length is beyond the float range") from None
-    for ((_, end), (lo, hi)), ((start, _), (nxt, _)) in zip(out, out[1:]):
-        if start < end:
-            raise OverlapError(f"interval [{lo}, {hi}) overlaps the one starting at {nxt}")
-    return tuple([pair for _, pair in out])
+    return tuple([(lo, hi) for _, lo, _, hi in runs])
 
 
 def residues_distinct(endpoints: Sequence[int], modulus: int) -> bool:
@@ -103,7 +112,11 @@ def sin_ratio(m: int, x) -> float:
     """
     if m < 1:
         raise PreconditionError(f"m must be >= 1, got {m}")
-    r = float(_wrap_value(x))
+    if isinstance(x, float) and math.isfinite(x):
+        r = abs(x) % 1.0  # exact, as is 1 - r where r >= 1/2 (Sterbenz)
+        r = min(r, 1.0 - r)
+    else:
+        r = float(_wrap_value(x))
     if r == 0.0:
         return float(m)
     # the true ratio never exceeds m; min() trims float overshoot (the raw

@@ -8,7 +8,7 @@ checked.  The section Gram is block Toeplitz, so route 2 never builds it:
 ``GramForm`` keeps the branch-pair x lag table that defines it, transformed
 along the lag axis, and applies it as 4 n_max + 1 small branch x branch
 products.  ``gram_matrix`` is the dense Gram of arbitrary frequencies, off
-the verification path.  Every domain argument goes through
+the verification path.  Every domain argument is read as its runs, through
 ``validated_intervals``, the rule each certificate already obeys.  Gram
 phases are reduced mod 1 in exact arithmetic, so large endpoints or
 frequencies cost no accuracy.  Sampling is deterministic: each sample draws
@@ -55,24 +55,13 @@ _TOL = 1e-8  # each side of a certificate is widened by this fraction of itself
 
 # --- Gram forms -------------------------------------------------------------
 
-def _merged_runs(u) -> list[Interval]:
-    """The union's intervals, ascending, with touching ones joined exactly."""
-    runs: list[list[Fraction]] = []
-    for lo, hi in validated_intervals(u):  # sorted and disjoint
-        if runs and lo == runs[-1][1]:
-            runs[-1][1] = hi
-        else:
-            runs.append([lo, hi])
-    return [(lo, hi) for lo, hi in runs]
-
-
 _GRAM_ROWS = 64  # rows per block: a 64 x size block of temporaries stays in cache
 
 
 def gram_matrix(frequencies: Sequence, u) -> np.ndarray:
     """Dense Hermitian Gram of the frequencies on u, ``GramForm``'s reference.
 
-    Touching intervals are first merged into runs (exact endpoints), so a
+    The domain is read as ``validated_intervals`` gives it, its runs, so a
     contiguous union is one run.  A run of length l centred at m contributes
     ``l * sinc(nu * l) * e^{2 pi i f m} * conj(e^{2 pi i f' m})`` with
     ``nu = f - f'``, so the K runs of one length sum to
@@ -94,7 +83,7 @@ def gram_matrix(frequencies: Sequence, u) -> np.ndarray:
     """
     exact = [as_fraction(x) for x in frequencies]
     f = np.asarray([finite_float(x, "a frequency") for x in exact], dtype=float)
-    runs = _merged_runs(u)
+    runs = validated_intervals(u)
     every_w = unit_phases(exact, [(lo + hi) / 2 for lo, hi in runs])
     lengths = [hi - lo for lo, hi in runs]
     phases = [(float(length), every_w[:, [k for k, x in enumerate(lengths) if x == length]])
@@ -123,7 +112,7 @@ def _sinc(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def _nonnegative_lags(system: ExponentSystem, runs: list[Interval], n_max: int) -> np.ndarray:
+def _nonnegative_lags(system: ExponentSystem, runs: Sequence[Interval], n_max: int) -> np.ndarray:
     """T[., ., 2 n_max + d] for the lags d = 0..2 n_max, lag-major; the lags
     -d are their conjugate transposes.
 
@@ -190,7 +179,7 @@ class GramForm:
 
     @classmethod
     def build(cls, system: ExponentSystem, u, n_max: int = 8) -> "GramForm":
-        """The section |n| <= n_max >= 1 on u's merged runs, refused before
+        """The section |n| <= n_max >= 1 on u's runs, refused before
         anything is built when an array it allocates would exceed
         ``MAX_MATRIX_ROWS**2`` entries: the DFT, Q x (2 n_max + 1), the
         symbol, Q x branches^2, or a run length's phase product,
@@ -205,7 +194,7 @@ class GramForm:
         """
         if n_max < 1:
             raise PreconditionError(f"n_max must be >= 1, got {n_max}")
-        runs = _merged_runs(u)
+        runs = validated_intervals(u)
         q, width, b = 4 * n_max + 1, 2 * n_max + 1, system.branches
         largest = max(q * width, q * b * b, width * b * len(runs))
         if largest > MAX_MATRIX_ROWS ** 2:

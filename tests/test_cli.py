@@ -621,6 +621,46 @@ def _one_branch_document(run, intervals):
     return json.dumps(doc)
 
 
+def test_a_run_past_the_float_range_is_a_named_error(run):
+    import subprocess
+    import sys
+    from pathlib import Path
+    # each piece is 10**308 long, a finite float; the run they join is not
+    text = _one_branch_document(run, [(0, 10**308), (10**308, 2 * 10**308)])
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "expobasis.cli", "verify", "--input", text],
+                          env={"PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error [PreconditionError]")
+    assert "Traceback" not in proc.stderr
+
+
+#: ``certify interval-removal --N 5 --m 2 --delta 1/25`` with its domain
+#: listed as unit pieces, as documents once wrote it
+_UNIT_PIECE_DOCUMENT = (
+    '{"schema":"v1","method":"interval_removal","A":0.014401526380829885,'
+    '"B":13.157580082031071,"system":{"branch_offsets":[{"num":0,"den":1},'
+    '{"num":21,"den":100},{"num":21,"den":50},{"num":63,"den":100}],'
+    '"domain_scale":{"num":1,"den":1}},"domain":{"intervals":['
+    '{"start":{"num":0,"den":1},"end":{"num":1,"den":1}},'
+    '{"start":{"num":1,"den":1},"end":{"num":2,"den":1}},'
+    '{"start":{"num":3,"den":1},"end":{"num":4,"den":1}},'
+    '{"start":{"num":4,"den":1},"end":{"num":5,"den":1}}]},'
+    '"params":{"N":5,"m":2,"delta":{"num":1,"den":25},"beta":0.20048050933824157,'
+    '"window":[{"num":1,"den":32},0.049519490661758425]},"flags":[]}')
+
+
+def test_a_unit_piece_document_reads_as_its_runs(run):
+    from expobasis import certificate_from_json, construct_interval_removal
+    cert = certificate_from_json(json.loads(_UNIT_PIECE_DOCUMENT))
+    assert cert == construct_interval_removal(5, 2, Fraction(1, 25))
+    _, text, _ = run(["certify", "interval-removal", "--N", "5", "--m", "2", "--delta", "1/25"])
+    assert len(loads(text)["domain"]["intervals"]) == 2
+    old = run(["verify", "--seed", "5", "--input", _UNIT_PIECE_DOCUMENT])
+    assert old == run(["verify", "--seed", "5", "--input", text])
+    assert old[0] == 0
+
+
 @pytest.mark.parametrize("intervals, error", [
     ([(0, 0), (0, 1)], "PreconditionError"),
     ([(1, 0)], "PreconditionError"),

@@ -332,6 +332,13 @@ def test_interval_removal_frozen_quad():
     assert oracle_contained(cert)
 
 
+@pytest.mark.parametrize("n, m", [(4, 1), (9, 4), (33, 31)])
+def test_interval_removal_domain_is_its_two_runs(n, m):
+    lo, hi, _ = delta_window_interval_removal(n)
+    cert = construct_interval_removal(n, m, (lo + hi) / 2)
+    assert cert.domain_intervals == ((Fraction(0), Fraction(m)), (Fraction(m + 1), Fraction(n)))
+
+
 def test_interval_removal_constants_ignore_m_and_delta():
     base = construct_interval_removal(4, 1, 0.08)
     assert construct_interval_removal(4, 2, 0.08).A == base.A

@@ -79,7 +79,47 @@ def test_union_requires_sorted_disjoint():
 
 
 def test_union_touching_blocks_allowed():
-    assert len(validated_intervals(_units([0, 1, 2]))) == 3
+    # touching blocks are allowed, and come back as the one run they make
+    assert validated_intervals(_units([0, 1, 2])) == ((Fraction(0), Fraction(3)),)
+
+
+def test_a_run_length_past_the_float_range_is_refused():
+    # each piece has a finite float length; the run they join does not
+    half = Fraction(10) ** 308
+    assert validated_intervals([(0, half)]) == ((0, half),)
+    with pytest.raises(PreconditionError, match="beyond the float range"):
+        validated_intervals([(half, 2 * half), (0, half)])
+
+
+def _rationals(lo, hi):
+    return st.fractions(lo, hi, max_denominator=12)
+
+
+@st.composite
+def _cut_domain(draw):
+    """(runs, pieces): runs that do not touch, and the same set cut at rational
+    points inside its runs, the pieces shuffled."""
+    x = draw(_rationals(-5, 5))
+    runs, pieces = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        length = draw(_rationals(Fraction(1, 12), 4))
+        end = x + length
+        cuts = sorted({x + t for t in draw(st.lists(_rationals(0, 4), max_size=4))
+                       if 0 < t < length})
+        ends = [x, *cuts, end]
+        pieces += zip(ends, ends[1:])
+        runs.append((x, end))
+        x = end + draw(_rationals(Fraction(1, 12), 3))
+    return tuple(runs), draw(st.permutations(pieces))
+
+
+@given(_cut_domain())
+def test_a_set_has_one_form(case):
+    runs, pieces = case
+    out = validated_intervals(pieces)
+    assert out == runs
+    assert all(hi < lo for (_, hi), (lo, _) in zip(out, out[1:]))  # no two runs touch
+    assert validated_intervals(out) == out
 
 
 @pytest.mark.parametrize("domain, error", [

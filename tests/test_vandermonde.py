@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from expobasis import (
     ExponentSystem,
@@ -151,6 +151,16 @@ def test_sin_ratio_stable_next_to_integers():
     for t in (1 - 1e-12, 1 + 1e-12, 2 - 3e-13, -1 + 1e-12):
         direct = abs(sum(cmath.exp(2j * cmath.pi * t * j) for j in range(40)))
         assert sin_ratio(40, t) == pytest.approx(direct, abs=1e-10)
+
+
+@given(st.integers(1, 10**6), st.floats(allow_nan=False, allow_infinity=False))
+@example(3, -0.0)
+@example(7, 5e-324)
+@example(5, 2.0**52 + 0.5)
+@example(4, 0.5)
+def test_sin_ratio_of_a_float_is_the_exact_path_bitwise(m, x):
+    # floats take a float reduction mod 1, which is exact
+    assert sin_ratio(m, x).hex() == sin_ratio(m, Fraction(x)).hex()
 
 
 @given(st.integers(1, 64), st.floats(-2, 2))

@@ -28,7 +28,6 @@ from expobasis import (
     verify_certificate,
 )
 from expobasis.vandermonde import unit_phases
-from expobasis.verify import _merged_runs
 
 SPLIT = ((Fraction(0), Fraction(1)), (Fraction(3), Fraction(4)))
 
@@ -127,7 +126,7 @@ def _full_rows_gram(freqs, domain):
     """The Gram built every entry twice, full 64-row blocks, then averaged
     with its conjugate transpose: the reference for the triangular build."""
     f = np.asarray([float(x) for x in freqs])
-    runs = _merged_runs(domain)
+    runs = validated_intervals(domain)
     every_w = unit_phases(freqs, [(lo + hi) / 2 for lo, hi in runs])
     lengths = [hi - lo for lo, hi in runs]
     phases = [(float(length), every_w[:, [k for k, x in enumerate(lengths) if x == length]])
