@@ -4,15 +4,21 @@ Construct certified bases on perturbed interval unions, lattice subsets, and
 punctured blocks; check every certificate against its node matrix's singular
 values, where it has a square one, and against its sampled Gram quadratic form.
 
-The constructions, the domains and the errors need no numpy and load with
-the package.  The re-exports of the numpy modules (``clusters``,
-``spectral``, ``verify``, ``vandermonde``) load on first use through
+The constructions, the clusters, the domains and the errors need no numpy
+and load with the package.  The re-exports of the numpy modules
+(``spectral``, ``verify``, ``vandermonde``) load on first use through
 ``_LAZY``, so ``certify`` and ``beta`` start without numpy.
 """
 
 from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
 
+from .clusters import (
+    ClusterPartition,
+    cluster_spectrum,
+    default_threshold,
+    partition_by_coherence,
+)
 from .constructions import (
     BetaSolution,
     CONSTRUCTIONS,
@@ -58,9 +64,8 @@ from .errors import (
 
 #: re-export -> home module, for the modules that load numpy
 _LAZY = {name: module for module, names in {
-    "clusters": ("ClusterPartition", "cluster_spectrum", "default_threshold",
-                 "partition_by_coherence", "principal_angle_check"),
-    "spectral": ("SingularSpectrum", "is_singular", "optimal_frame_constants", "singular_values"),
+    "spectral": ("SingularSpectrum", "is_singular", "optimal_frame_constants",
+                 "principal_angle_check", "singular_values"),
     "verify": ("DEFAULT_SEED", "GramForm", "RatioSample", "RegressionResult",
                "VerificationReport", "gram_matrix", "regression_examples",
                "riesz_ratio_sample", "verify_certificate"),

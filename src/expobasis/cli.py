@@ -80,6 +80,8 @@ def _load_input(value: str) -> dict:
             text = fh.read()
     except OSError as exc:
         raise PreconditionError(f"cannot read input {value!r}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise JsonInputError(f"malformed JSON: {value!r} is not UTF-8 ({exc.reason})") from exc
     return jsonio.loads(text)
 
 

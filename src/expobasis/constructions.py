@@ -14,8 +14,8 @@ coherence of a node matrix: an envelope factor ``1 -/+ M sin(1/M)``, or
 two lattice variants share one validator and one certificate body; the paired
 one clusters large-coherence pairs with ``partition_by_coherence`` and widens
 its spread by the largest within-cluster sine ratio, read from the partition.
-``associated_matrix`` and the paired lattice subset import their numpy
-modules when called, so a certificate is built, written and read without numpy.
+``associated_matrix`` imports its numpy module when called, so a certificate
+is built, written and read without numpy.
 
 The v1 certificate document lives here too: one encoder writes each rational
 as a ``{num, den}`` object and one strict reader reads it back.
@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
+from .clusters import partition_by_coherence
 from .domains import (
     ExponentSystem,
     Interval,
@@ -376,14 +377,13 @@ def certify_lattice_subset_paired(n: int, m: int, a: Sequence[int], u: int) -> F
     all clusters are singletons), and the constants widen to
     (M - alpha)(1 - c), (M + alpha)(1 + c).
     """
-    from .clusters import partition_by_coherence
     a = _validated_lattice_subset(n, m, a, u)
-    partition = partition_by_coherence(a, Fraction(1, n), m)
+    partition = partition_by_coherence(a, Fraction(1, n))
     if partition.max_cluster_size > 2:
         raise ClusterSizeError(
             f"paired certificate needs clusters of size <= 2, found {partition.max_cluster_size}"
         )
-    paired = {c: float(partition.coherences[c]) for c in partition.clusters if len(c) == 2}
+    paired = {c: partition.coherences[c] for c in partition.clusters if len(c) == 2}
     return _lattice_certificate("lattice_subset_paired", n, m, a, u, paired)
 
 
@@ -556,12 +556,13 @@ def associated_matrix(cert: FrameCertificate) -> tuple[NodeMatrix, float] | None
         raise PreconditionError(
             f"node matrix too large: {d} (common denominator) x {branches} "
             f"(branches) rows > MAX_MATRIX_ROWS = {MAX_MATRIX_ROWS}")
+    scale = finite_float(d / c, "oracle scale D/c")
     nodes = [p for lo, hi in zip(nums[::2], nums[1::2]) for p in range(lo, hi)]
     offsets = cert.system.branch_offsets
     if d > 1:
         offsets = [Fraction(r * phi.denominator + phi.numerator, phi.denominator * d)
                    for phi in offsets for r in range(d)]
-    return build_gamma(offsets, nodes), float(d / c)
+    return build_gamma(offsets, nodes), scale
 
 
 # --- JSON -----------------------------------------------------------------

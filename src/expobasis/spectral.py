@@ -1,4 +1,4 @@
-"""Singular-value oracle for node matrices.
+"""Singular-value oracle for node matrices, and principal angles between cluster spans.
 
 The singular values of Gamma come from the LAPACK SVD (``np.linalg.svd``).
 It is backward stable, so every singular value is exact to about machine
@@ -11,14 +11,17 @@ the ``is_singular`` field of the spectrum; the CLI writes it as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
-from .vandermonde import NodeMatrix
+from .clusters import ClusterPartition
+from .errors import PreconditionError, RankDeficientError
+from .vandermonde import NodeMatrix, progression_matrix
 
-__all__ = ["SingularSpectrum", "singular_values", "optimal_frame_constants", "is_singular"]
+__all__ = ["SingularSpectrum", "singular_values", "optimal_frame_constants", "is_singular",
+           "principal_angle_check"]
 
 #: sigma_min < SINGULAR_RTOL * sigma_max flags the matrix as numerically singular
 SINGULAR_RTOL = 1e-10
@@ -72,3 +75,27 @@ def optimal_frame_constants(matrix: NodeMatrix | np.ndarray) -> tuple[float, flo
 
 def is_singular(matrix: NodeMatrix | np.ndarray) -> bool:
     return singular_values(matrix).is_singular
+
+
+def principal_angle_check(partition: ClusterPartition) -> float:
+    """Exact minimum principal angle between cluster column spans.
+
+    Orthonormalizes each cluster block and takes arccos of the largest
+    cross-Gram singular value over all cluster pairs.  With a single cluster
+    the constraint is empty and pi/2 is returned.
+    """
+    matrix = progression_matrix(partition.nodes, partition.spacing)
+    bases = []
+    for cluster in partition.clusters:
+        block = matrix.entries[:, list(cluster)]
+        q, r = np.linalg.qr(block)
+        diag = np.abs(np.diag(r))
+        if np.any(diag < 1e-12 * max(1.0, float(diag.max(initial=0.0)))):
+            raise RankDeficientError(f"cluster block {cluster} is numerically rank deficient")
+        bases.append(q)
+    worst = 0.0
+    for a in range(len(bases)):
+        for b in range(a + 1, len(bases)):
+            s = np.linalg.svd(bases[a].conj().T @ bases[b], compute_uv=False)
+            worst = max(worst, float(s[0]))
+    return math.acos(min(worst, 1.0))

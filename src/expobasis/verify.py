@@ -271,7 +271,8 @@ def riesz_ratio_sample(form: GramForm, trials: int = 128, seed: int = DEFAULT_SE
     coefficients per block (drawn in order, so the block width does not
     change them), and their quadratic forms come from the form's symbol
     (``GramForm.quadratic_forms``), never from a dense G.  The extremes are
-    the smallest and the largest ratio drawn, at the form's ``n_max``.
+    the smallest and the largest ratio drawn, at the form's ``n_max``; a
+    ratio past the float range is refused.
     """
     if trials < 1 or seed < 0:
         raise PreconditionError("need trials >= 1 and seed >= 0")
@@ -286,6 +287,8 @@ def riesz_ratio_sample(form: GramForm, trials: int = 128, seed: int = DEFAULT_SE
         width = min(block, trials - first)
         coeffs = rng.standard_normal((width, 2 * form.size)).view(complex).T
         ratios = form.quadratic_forms(coeffs) / np.sum(np.abs(coeffs) ** 2, axis=0)
+        if not np.isfinite(ratios).all():
+            raise PreconditionError("the Gram form's ratios are beyond the float range")
         lo = min(lo, float(ratios.min()))
         hi = max(hi, float(ratios.max()))
     return RatioSample(min_ratio=lo, max_ratio=hi, trials=trials, seed=seed, n_max=form.n_max)
@@ -356,8 +359,9 @@ def verify_certificate(
                 "side": "lower", "value": oracle.sigma_min ** 2,
                 "bound": cert.A * scale,
             })
-    form = GramForm.build(cert.system, cert.domain_intervals, n_max)
-    sample = riesz_ratio_sample(form, trials=trials, seed=seed)
+    with np.errstate(over="ignore", invalid="ignore"):  # the sampler refuses what overflows
+        form = GramForm.build(cert.system, cert.domain_intervals, n_max)
+        sample = riesz_ratio_sample(form, trials=trials, seed=seed)
     if sample.min_ratio < lower:
         violations.append({"route": "sample", "index": -1, "side": "lower",
                            "value": sample.min_ratio, "bound": cert.A})

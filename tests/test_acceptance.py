@@ -268,8 +268,8 @@ def test_criterion_8_cluster_sandwich_on_random_instances():
         draws += 1
         nodes, spacing = next(stream)
         length = len(nodes)
-        part = partition_by_coherence(nodes, spacing, length)
-        if part.max_cluster_size > 2 or part.chained:
+        part = partition_by_coherence(nodes, spacing)
+        if part.max_cluster_size > 2:
             skipped["cluster"] += 1
             continue
         try:

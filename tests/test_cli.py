@@ -5,7 +5,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from expobasis import CONSTRUCTIONS, METHODS, constructions, vandermonde
 from expobasis.cli import main
@@ -25,6 +25,16 @@ def run(capsys, monkeypatch):
         return code, captured.out, captured.err
 
     return _run
+
+
+def _cli_process(*argv):
+    """``python -m expobasis.cli ARGV`` in a fresh process, output captured as text."""
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, "-m", "expobasis.cli", *argv],
+                          env={"PYTHONPATH": str(src)}, capture_output=True, text=True)
 
 
 def test_beta_single_and_range(run):
@@ -267,6 +277,17 @@ def test_unreadable_input_is_a_named_error(run, tmp_path):
     assert err.startswith("error [PreconditionError]")
 
 
+@pytest.mark.parametrize("argv", [["verify"], ["certify", "complement", "--Delta", "3"]],
+                         ids=["verify", "complement"])
+def test_input_that_is_not_utf8_is_malformed_json(tmp_path, argv):
+    path = tmp_path / "cert.json"
+    path.write_bytes(b"\xff\xfe\x00{}")
+    proc = _cli_process(*argv, "--input", str(path))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error [JsonInputError]")
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["certify", "residue-orthogonal", "--s", "1", "--a", "0"],
     ["regress"],
@@ -404,6 +425,8 @@ _NUMPY_FREE = {
                          "--epsilons", "0,1/3", "--delta", "0.0006"], 0),
     "lattice-subset": (["certify", "lattice-subset", "--N", "14", "--M", "3", "--a", "0,5,9",
                         "--u", "1"], 0),
+    "lattice-subset-paired": (["certify", "lattice-subset-paired", "--N", "16", "--M", "4",
+                               "--a", "0,1,8,9", "--u", "1"], 0),
     "residue-orthogonal": (["certify", "residue-orthogonal", "--s", "2", "--a", "0,3"], 0),
     "complement": (["certify", "complement", "--Delta", "3", "--input", "PARENT"], 0),
     "outside-window": (["certify", "interval-removal", "--N", "17", "--m", "8",
@@ -622,14 +645,9 @@ def _one_branch_document(run, intervals):
 
 
 def test_a_run_past_the_float_range_is_a_named_error(run):
-    import subprocess
-    import sys
-    from pathlib import Path
     # each piece is 10**308 long, a finite float; the run they join is not
     text = _one_branch_document(run, [(0, 10**308), (10**308, 2 * 10**308)])
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run([sys.executable, "-m", "expobasis.cli", "verify", "--input", text],
-                          env={"PYTHONPATH": str(src)}, capture_output=True, text=True)
+    proc = _cli_process("verify", "--input", text)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("error [PreconditionError]")
     assert "Traceback" not in proc.stderr
@@ -710,6 +728,47 @@ def _base_documents():
 
 
 _BASE_DOCUMENTS = _base_documents()
+
+
+def _dilated(doc, k):
+    """``doc`` with its domain scale and every endpoint times 10**k: its system
+    and its domain dilated together."""
+    import copy
+    factor = Fraction(10) ** k
+
+    def scaled(value):
+        x = Fraction(value["num"], value["den"]) * factor
+        return {"num": x.numerator, "den": x.denominator}
+
+    doc = copy.deepcopy(doc)
+    doc["system"]["domain_scale"] = scaled(doc["system"]["domain_scale"])
+    doc["domain"]["intervals"] = [{"start": scaled(piece["start"]), "end": scaled(piece["end"])}
+                                  for piece in doc["domain"]["intervals"]]
+    return doc
+
+
+@given(st.sampled_from(sorted(_BASE_DOCUMENTS)), st.integers(-400, 400))
+@example("lattice_subset_paired", -400)  # the node matrix's scale D/c overflows
+@example("residue_orthogonal", 308)  # the Gram form's ratios overflow
+@settings(max_examples=40, deadline=None)
+def test_a_dilated_domain_never_raises(method, k):
+    import contextlib
+    import io
+    text = json.dumps(_dilated(_BASE_DOCUMENTS[method], k))
+    for sub in ("verify", "oracle", "construct", "report"):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([sub, "--input", text])
+        assert code in (0, 1, 2, 3), (sub, code, err.getvalue())
+
+
+def test_an_oracle_scale_past_the_float_range_is_a_named_error():
+    # D/c = 10**400 for the unit intervals of a domain shrunk by 10**-400
+    text = json.dumps(_dilated(_BASE_DOCUMENTS["interval_removal"], -400))
+    proc = _cli_process("verify", "--input", text)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error [PreconditionError]")
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("method", sorted(_BASE_DOCUMENTS))

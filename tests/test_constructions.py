@@ -282,7 +282,7 @@ def test_paired_reduces_to_plain_when_all_singletons():
         u = math.floor(threshold_u(n, m)) + 1
         admissible = 0
         for a in itertools.combinations(range(n), m):
-            if partition_by_coherence(a, Fraction(1, n), m).max_cluster_size > 1:
+            if partition_by_coherence(a, Fraction(1, n)).max_cluster_size > 1:
                 continue
             want = _lattice_outcome(certify_lattice_subset, n, m, a, u)
             got = _lattice_outcome(certify_lattice_subset_paired, n, m, a, u)

@@ -85,3 +85,38 @@ def test_only_constructions_spells_the_rational_form():
               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
               if isinstance(node, ast.Constant) and node.value in ("num", "den")}
     assert owners == {"constructions.py"}, sorted(owners)
+
+
+#: the modules that load with ``import expobasis`` and ``expobasis.cli``, and
+#: the modules that load numpy
+_NUMPY_FREE_MODULES = ("__init__", "errors", "domains", "constructions", "clusters", "jsonio",
+                       "cli")
+_NUMPY_MODULES = {"numpy", "vandermonde", "spectral", "verify"}
+
+
+def _import_time_imports(node):
+    """The dotted parts of every module an import runs when ``node`` runs:
+    function bodies and ``if TYPE_CHECKING:`` blocks are left out."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
+            for stmt in child.orelse:
+                yield from _import_time_imports(stmt)
+            continue
+        if isinstance(child, ast.Import):
+            yield from (part for alias in child.names for part in alias.name.split("."))
+        elif isinstance(child, ast.ImportFrom):
+            yield from (child.module or "").split(".")
+            if child.module is None:  # ``from . import verify``
+                yield from (alias.name for alias in child.names)
+        yield from _import_time_imports(child)
+
+
+@pytest.mark.parametrize("name", _NUMPY_FREE_MODULES)
+def test_the_numpy_free_layer_imports_no_numpy_module(name):
+    """These modules import numpy, or a module that imports it, only inside a
+    function or for type checking, so ``certify`` and ``beta`` start without it."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    found = sorted(set(_import_time_imports(tree)) & _NUMPY_MODULES)
+    assert not found, found

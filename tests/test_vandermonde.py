@@ -14,8 +14,6 @@ from expobasis import (
     PreconditionError,
     associated_matrix,
     build_gamma,
-    partition_by_coherence,
-    principal_angle_check,
     progression_matrix,
     sin_ratio,
 )
@@ -105,8 +103,6 @@ def test_gamma_exact_phase_for_huge_rational_arguments():
 def test_progression_matrix_records_spacing():
     m = progression_matrix([0, 4, 8], Fraction(1, 12))
     assert m.deltas == (0.0, 1 / 12, 2 / 12)
-    with pytest.raises(PreconditionError):  # 3 rows on 2 nodes is not square
-        principal_angle_check(partition_by_coherence([0, 4], Fraction(1, 12), 3))
 
 
 @pytest.mark.parametrize("length", [2, 3, 5, 8])
