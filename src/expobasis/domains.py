@@ -60,35 +60,27 @@ def validated_intervals(pairs: Iterable) -> tuple[Interval, ...]:
     are then joined into runs, so a set has one form however it is listed,
     and a run whose length does not convert to a finite float is refused,
     since the Gram form integrates over float run lengths.  Endpoints may be
-    arbitrarily large.  Order, touching, overlaps and lengths are read from
-    the endpoints' integer numerators over their common denominator, which
-    compare exactly as the rationals do.
+    arbitrarily large.  The endpoints are sorted and compared as the exact
+    rationals they are, each over its own denominator.
     """
-    ends = [(as_fraction(lo), as_fraction(hi)) for lo, hi in pairs]
+    ends = sorted([(as_fraction(lo), as_fraction(hi)) for lo, hi in pairs])
     if not ends:
         raise PreconditionError("a domain needs at least one interval")
-    den = math.lcm(*[x.denominator for pair in ends for x in pair])
-    keys = [(lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator))
-            for lo, hi in ends]
-    out = sorted(zip(keys, ends))
-    for (start, end), (lo, hi) in out:
-        if end <= start:
+    for lo, hi in ends:
+        if hi <= lo:
             raise PreconditionError(f"empty interval [{lo}, {hi})")
-    for ((_, end), (lo, hi)), ((start, _), (nxt, _)) in zip(out, out[1:]):
-        if start < end:
+    for (lo, hi), (nxt, _) in zip(ends, ends[1:]):
+        if nxt < hi:
             raise OverlapError(f"interval [{lo}, {hi}) overlaps the one starting at {nxt}")
-    runs: list[list] = []  # [start key, start, end key, end] of each run
-    for (start, end), (lo, hi) in out:
-        if runs and start == runs[-1][2]:
-            runs[-1][2:] = [end, hi]
+    runs: list[Interval] = []
+    for lo, hi in ends:
+        if runs and lo == runs[-1][1]:
+            runs[-1] = (runs[-1][0], hi)
         else:
-            runs.append([start, lo, end, hi])
-    for start, _, end, _ in runs:
-        try:
-            (end - start) / den  # correctly rounded, so it overflows just when float(hi - lo) does
-        except OverflowError:
-            raise PreconditionError("an interval length is beyond the float range") from None
-    return tuple([(lo, hi) for _, lo, _, hi in runs])
+            runs.append((lo, hi))
+    for lo, hi in runs:
+        finite_float(hi - lo, "an interval length")
+    return tuple(runs)
 
 
 def residues_distinct(endpoints: Sequence[int], modulus: int) -> bool:
@@ -124,15 +116,6 @@ def sin_ratio(m: int, x) -> float:
     return min(abs(math.sin(math.pi * m * r) / math.sin(math.pi * r)), float(m))
 
 
-def _wrapped_offsets_distinct(offsets: Sequence[Fraction]) -> bool:
-    reduced = sorted(phi.numerator % phi.denominator / phi.denominator for phi in offsets)
-    if len(reduced) < 2:
-        return True
-    gaps = [b - a for a, b in zip(reduced, reduced[1:])]
-    gaps.append(reduced[0] + 1.0 - reduced[-1])  # wrap-around gap
-    return min(gaps) >= 1e-12
-
-
 @dataclass(frozen=True)
 class ExponentSystem:
     """A union of integer-translate branches of exponentials.
@@ -148,7 +131,8 @@ class ExponentSystem:
         offs = tuple([as_fraction(phi) for phi in branch_offsets])
         if not offs:
             raise PreconditionError("a system needs at least one branch")
-        if not _wrapped_offsets_distinct(offs):
+        # p/q in lowest terms has residue (p mod q)/q mod 1, also in lowest terms
+        if len({(phi.numerator % phi.denominator, phi.denominator) for phi in offs}) < len(offs):
             raise PreconditionError("branch offsets must be pairwise distinct mod 1")
         scale = as_fraction(domain_scale)
         if scale <= 0:

@@ -49,19 +49,17 @@ class NodeMatrix:
 def unit_phases(xs: Sequence, ys: Sequence) -> np.ndarray:
     """The len(xs) x len(ys) array exp(2 pi i x y) over exact rationals x, y.
 
-    Over common denominators x = X/Q and y = Y/P, the phase ``x y mod 1`` is
-    ``(X Y mod QP) / QP``: reduced in integers and rounded once, however large
-    x or y is.  An int or a Fraction is read as it is, and a float converts
-    exactly.
+    Each x = X/q is read over its own denominator and the ys over their
+    common one, y = Y/P, so the phase ``x y mod 1`` is ``(X Y mod qP) / qP``:
+    reduced in integers and rounded once, however large x or y is.  An int
+    or a Fraction is read as it is, and a float converts exactly.
     """
     xs = [x if isinstance(x, (int, Fraction)) else as_fraction(x) for x in xs]
     ys = [y if isinstance(y, (int, Fraction)) else as_fraction(y) for y in ys]
-    q = math.lcm(*[x.denominator for x in xs])
     p = math.lcm(*[y.denominator for y in ys])
-    mod = q * p
-    rows = [x.numerator * (q // x.denominator) for x in xs]
-    cols = [y.numerator * (p // y.denominator) % mod for y in ys]
-    turns = np.fromiter((a * b % mod / mod for a in rows for b in cols), float,
+    rows = [(x.numerator, x.denominator * p) for x in xs]
+    cols = [y.numerator * (p // y.denominator) for y in ys]
+    turns = np.fromiter((a * b % mod / mod for a, mod in rows for b in cols), float,
                         len(rows) * len(cols)).reshape(len(rows), len(cols))
     return np.exp(2j * np.pi * turns)
 

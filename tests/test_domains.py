@@ -1,12 +1,14 @@
 """The domain rule, grid dilation, and exponent systems."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import coprime_denominators, reference_validated_intervals
 from expobasis import (
     ExponentSystem,
     FrameCertificate,
@@ -89,6 +91,63 @@ def test_a_run_length_past_the_float_range_is_refused():
     assert validated_intervals([(0, half)]) == ((0, half),)
     with pytest.raises(PreconditionError, match="beyond the float range"):
         validated_intervals([(half, 2 * half), (0, half)])
+
+
+_HUGE = Fraction(10) ** 400
+_ENDPOINTS = st.one_of(
+    st.fractions(-4, 4, max_denominator=6),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40)),
+    st.integers(-3, 3).map(lambda k: _HUGE + k),
+)
+_LENGTHS = st.one_of(
+    st.fractions(Fraction(1, 6), 3, max_denominator=6),
+    st.builds(Fraction, st.integers(1, 10**40), st.integers(1, 10**40)),
+    st.just(Fraction(10) ** 308),  # two of these touching pass the float range
+)
+
+
+@st.composite
+def _interval_lists(draw):
+    """Up to 8 pairs, shuffled: each starts where the last ended, a gap
+    after it, inside it, or somewhere new; one may be empty or reversed."""
+    x = draw(_ENDPOINTS)
+    pairs = []
+    for _ in range(draw(st.integers(0, 8))):
+        hi = x + draw(_LENGTHS)
+        pairs.append((x, hi))
+        x = draw(st.sampled_from([hi, hi, hi + Fraction(1, 2), hi + 2, hi - Fraction(1, 2)])
+                 | _ENDPOINTS)
+    if pairs and draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, len(pairs) - 1))
+        lo = pairs[k][0]
+        pairs[k] = (lo, lo - draw(st.fractions(0, 1, max_denominator=6)))
+    return draw(st.permutations(pairs))
+
+
+def _outcome(rule, pairs):
+    try:
+        return rule(pairs)
+    except PreconditionError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_interval_lists())
+def test_domain_rule_equals_the_common_denominator_form(pairs):
+    # the same runs, or the same error type and message
+    assert _outcome(validated_intervals, pairs) == _outcome(reference_validated_intervals, pairs)
+
+
+def test_domain_rule_on_coprime_huge_denominators_is_cheap():
+    # 100 unit intervals whose starts have pairwise coprime ~4,000-digit
+    # denominators: their common denominator would have 400,000 digits
+    starts = [k * 2 + Fraction(1, q) for k, q in enumerate(coprime_denominators(100, 13_280, 5))]
+    pairs = [(x, x + 1) for x in reversed(starts)]
+    start = time.process_time()
+    runs = validated_intervals(pairs)
+    elapsed = time.process_time() - start
+    assert runs == tuple((x, x + 1) for x in starts)
+    assert elapsed < 0.5, f"validated_intervals took {elapsed:.2f} s of CPU"
 
 
 def _rationals(lo, hi):
@@ -306,12 +365,21 @@ def test_system_scaled_frequencies():
 
 
 def test_system_rejects_offset_collision_mod_one():
-    with pytest.raises(PreconditionError):
-        ExponentSystem((Fraction(0), Fraction(1)), domain_scale=Fraction(1))
-    with pytest.raises(PreconditionError):
-        ExponentSystem((0.0, 5e-13), domain_scale=Fraction(1))
+    # offsets collide mod 1 exactly when their residues are the same rational
+    for offsets in [(Fraction(0), Fraction(1)), (Fraction(1, 3), Fraction(-2, 3)), (0.25, 1.25)]:
+        with pytest.raises(PreconditionError, match="distinct mod 1"):
+            ExponentSystem(offsets, domain_scale=Fraction(1))
     with pytest.raises(PreconditionError):
         ExponentSystem((Fraction(0),), domain_scale=Fraction(0))
+    # exactly distinct offsets are accepted however close they are: route 1
+    # judges how nearly singular the system is
+    for offsets in [(0.0, 5e-13), (Fraction(0), Fraction(1, 10**13)),
+                    (Fraction(0), 1 - Fraction(1, 2**60)),
+                    (Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**20))]:
+        assert ExponentSystem(offsets).branch_offsets == tuple(map(Fraction, offsets))
+    # floats that differ by an integer only after rounding are distinct too
+    assert Fraction(1.1) - Fraction(0.1) == 1 + Fraction(3, 2**55)
+    assert ExponentSystem((0.1, 1.1)).branches == 2
 
 
 def test_system_float_offsets_allowed():

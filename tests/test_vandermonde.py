@@ -2,12 +2,15 @@
 
 import cmath
 import math
+import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import coprime_denominators, reference_unit_phases
 from expobasis import (
     ExponentSystem,
     FrameCertificate,
@@ -16,8 +19,10 @@ from expobasis import (
     build_gamma,
     progression_matrix,
     sin_ratio,
+    singular_values,
 )
 from expobasis.domains import _wrap_value
+from expobasis.vandermonde import unit_phases
 
 
 # --- node extraction ----------------------------------------------------------
@@ -98,6 +103,49 @@ def test_gamma_exact_phase_for_huge_rational_arguments():
     m = build_gamma([Fraction(1, 3)], [node])
     expected = cmath.exp(2j * cmath.pi / 3)  # node = 3k + 1
     assert cmath.isclose(m.entries[0, 0], expected, abs_tol=1e-12)
+
+
+# --- unit_phases ------------------------------------------------------------------
+
+_ROWS = st.one_of(
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_COLUMNS = st.one_of(
+    st.lists(st.integers(-10**20, 10**20), max_size=6),  # node matrices
+    st.lists(st.integers(-10**20, 10**20).map(lambda k: Fraction(2 * k + 1, 2)),
+             max_size=6),  # run centres
+    st.lists(st.one_of(st.integers(-10**20, 10**20),
+                       st.fractions(-10**6, 10**6, max_denominator=10**9)), max_size=6),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_ROWS, max_size=6), _COLUMNS)
+def test_unit_phases_equals_the_common_denominator_form_bitwise(xs, ys):
+    got = unit_phases(xs, ys)
+    ref = reference_unit_phases(xs, ys)
+    assert got.shape == ref.shape == (len(xs), len(ys))
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def test_node_matrix_with_coprime_huge_offset_denominators_is_cheap():
+    # 64 branches whose offsets have pairwise coprime ~4,000-digit
+    # denominators, on the run [0, 64): Gamma is 64 x 64, and each row is
+    # reduced over its own denominator, not over their 256,000-digit product
+    branches = 64
+    rng = random.Random(7)
+    offsets = [Fraction(rng.randrange(q), q) for q in coprime_denominators(branches, 13_280, 13)]
+    cert = FrameCertificate(method="residue_orthogonal", A=0.0, B=1.0,
+                            system=ExponentSystem(offsets),
+                            domain_intervals=[(0, branches)])
+    start = time.process_time()
+    matrix, scale = associated_matrix(cert)
+    spectrum = singular_values(matrix)
+    elapsed = time.process_time() - start
+    assert matrix.size == branches and scale == 1.0
+    assert spectrum.sigma_max > 0
+    assert elapsed < 1.5, f"node matrix and SVD took {elapsed:.2f} s of CPU"
 
 
 def test_progression_matrix_records_spacing():
